@@ -22,19 +22,20 @@
 //   5. "shard scaling": the facility-soak shape — five sensor sites
 //      feeding a DTN relay, a switch hop and a WAN span to the receiver
 //      — as pure store-and-forward relays, partitioned one pipeline
-//      stage per domain and run at --shards 1/2/4. The host may have a
-//      single core, so the row that matters is *critical-path* event
-//      throughput: executed events over the sum of each epoch's slowest
-//      shard (the bound a parallel run converges to), as measured by
-//      shard_coordinator::scaling(). Wall-clock throughput is reported
-//      alongside but never gated.
+//      stage per domain and run at --shards 1/2/4. The host may have
+//      fewer free cores than shards, so the row that matters is
+//      *critical-path* event throughput: executed events over the sum of
+//      each epoch's slowest shard (the bound a parallel run converges
+//      to), timed in thread CPU seconds so a descheduled worker does not
+//      count as a slow shard (shard_coordinator::scaling()). Wall-clock
+//      throughput and its speedup are reported alongside but never gated.
 //
 // Flags: --burst=N sets the headline burst size; --check exits nonzero
 // when any forward variant allocates on the steady-state path (the CI
 // perf-smoke invariant — allocation-freedom, not wall-clock), or when
 // 4-shard critical-path throughput falls under 1.8x the single-shard
-// run (a partition-balance invariant: both sides of the ratio come
-// from the same machine on the same run, so runner load cancels).
+// run (a partition-balance invariant: both sides of the ratio are CPU
+// time on the same machine in the same run, so runner load cancels).
 //
 // Emits machine-readable JSON to BENCH_engine.json (and stdout) so the
 // perf trajectory is tracked across PRs. The `baseline` block holds the
@@ -51,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <new>
 #include <optional>
 
@@ -82,6 +84,13 @@ namespace {
 using namespace mmtp;
 using namespace mmtp::netsim;
 using namespace mmtp::literals;
+
+double thread_cpu_seconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 double seconds_since(std::chrono::steady_clock::time_point t0)
 {
@@ -139,7 +148,7 @@ churn_result run_churn(task_class tc)
 struct cancel_driver {
     engine* e;
     std::uint64_t left;
-    engine::timer_handle pending{};
+    timer_handle pending{};
 
     void fire()
     {
@@ -310,8 +319,8 @@ struct shard_scaling_result {
     unsigned shards;
     std::uint64_t events;
     double wall_seconds;
-    double critical_path_seconds;
-    double serial_seconds;
+    double critical_path_cpu_seconds;
+    double serial_cpu_seconds;
     double events_per_sec_wall;
     double events_per_sec_critical_path;
     std::uint64_t epochs;
@@ -389,15 +398,17 @@ shard_scaling_result run_shard_forward(unsigned shards)
 
     auto& coord = net.coordinator();
     const auto t0 = std::chrono::steady_clock::now();
+    const double cpu0 = thread_cpu_seconds();
     const std::uint64_t executed = coord.run();
+    const double cpu = thread_cpu_seconds() - cpu0;
     const double wall = seconds_since(t0);
 
-    double critical = coord.scaling().critical_path_seconds;
-    double serial = coord.scaling().serial_seconds;
+    double critical = coord.scaling().critical_path_cpu_seconds;
+    double serial = coord.scaling().serial_cpu_seconds;
     if (shards == 1) {
-        // Single shard short-circuits to engine::run(): its dispatch wall
-        // time is both the serial and the critical path.
-        critical = serial = coord.shard(0).profile().wall_seconds;
+        // Single shard short-circuits to engine::run() on this thread:
+        // its CPU time is both the serial and the critical path.
+        critical = serial = cpu;
     }
     return {shards,
             executed,
@@ -450,9 +461,13 @@ int main(int argc, char** argv)
     const shard_scaling_result sh[] = {run_shard_forward(1), run_shard_forward(2),
                                        run_shard_forward(4)};
     // Critical-path speedup over the single-shard run — the acceptance
-    // headline (>= 1.8x at 4 shards on this soak-shaped pipeline).
+    // headline (>= 1.8x at 4 shards on this soak-shaped pipeline) — and
+    // the wall-clock speedup printed beside it.
     const auto speedup_of = [&](const shard_scaling_result& r) {
         return r.events_per_sec_critical_path / sh[0].events_per_sec_critical_path;
+    };
+    const auto wall_speedup_of = [&](const shard_scaling_result& r) {
+        return r.events_per_sec_wall / sh[0].events_per_sec_wall;
     };
 
     char shard_rows[2048];
@@ -465,15 +480,17 @@ int main(int argc, char** argv)
             "      \"events\": %llu,\n"
             "      \"events_per_sec_wall\": %.0f,\n"
             "      \"events_per_sec_critical_path\": %.0f,\n"
-            "      \"critical_path_seconds\": %.4f,\n"
-            "      \"serial_seconds\": %.4f,\n"
+            "      \"critical_path_cpu_seconds\": %.4f,\n"
+            "      \"serial_cpu_seconds\": %.4f,\n"
             "      \"critical_path_speedup\": %.2f,\n"
+            "      \"wall_speedup\": %.2f,\n"
             "      \"epochs\": %llu,\n"
             "      \"cross_shard_messages\": %llu\n"
             "    }%s\n",
             r.shards, static_cast<unsigned long long>(r.events),
             r.events_per_sec_wall, r.events_per_sec_critical_path,
-            r.critical_path_seconds, r.serial_seconds, speedup_of(r),
+            r.critical_path_cpu_seconds, r.serial_cpu_seconds, speedup_of(r),
+            wall_speedup_of(r),
             static_cast<unsigned long long>(r.epochs),
             static_cast<unsigned long long>(r.cross_shard_messages),
             &r == &sh[2] ? "" : ","));
@@ -549,14 +566,17 @@ int main(int argc, char** argv)
         }
         if (speedup_of(sh[2]) < 1.8) {
             std::fprintf(stderr,
-                         "CHECK FAILED: 4-shard critical-path speedup %.2fx < 1.8x "
-                         "(1 shard: %.0f ev/s, 4 shards: %.0f ev/s)\n",
+                         "CHECK FAILED: 4-shard critical-path speedup (thread CPU) "
+                         "%.2fx < 1.8x (1 shard: %.0f ev/s, 4 shards: %.0f ev/s); "
+                         "wall-clock speedup %.2fx\n",
                          speedup_of(sh[2]), sh[0].events_per_sec_critical_path,
-                         sh[2].events_per_sec_critical_path);
+                         sh[2].events_per_sec_critical_path, wall_speedup_of(sh[2]));
             return 1;
         }
-        std::fputs("check passed: forward_allocs_per_packet == 0 in all variants, "
-                   "4-shard critical-path speedup >= 1.8x\n", stdout);
+        std::printf("check passed: forward_allocs_per_packet == 0 in all variants, "
+                    "4-shard critical-path speedup (thread CPU) %.2fx >= 1.8x; "
+                    "wall-clock speedup %.2fx\n",
+                    speedup_of(sh[2]), wall_speedup_of(sh[2]));
     }
     return 0;
 }

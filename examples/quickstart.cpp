@@ -85,7 +85,7 @@ int main()
 
     core::stack rx_stack(analysis, net.ids());
     core::receiver_config rcfg;
-    rcfg.nak_retry = policy.suggested_nak_retry;
+    rcfg.timing.retry_base = policy.suggested_nak_retry;
     core::receiver rx(rx_stack, rcfg);
 
     // 5. Drive a synthetic LArTPC stream and run the simulation.

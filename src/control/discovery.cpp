@@ -2,7 +2,7 @@
 
 namespace mmtp::control {
 
-domain_directory::domain_directory(netsim::scheduler& eng, directory_config cfg)
+domain_directory::domain_directory(netsim::engine& eng, directory_config cfg)
     : eng_(eng), cfg_(cfg)
 {
 }

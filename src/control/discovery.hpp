@@ -15,7 +15,7 @@
 #pragma once
 
 #include "control/resource_map.hpp"
-#include "netsim/scheduler.hpp"
+#include "netsim/engine.hpp"
 
 #include <cstdint>
 #include <functional>
@@ -53,7 +53,7 @@ struct directory_config {
 /// gossip timing still runs on the simulation clock.
 class domain_directory {
 public:
-    domain_directory(netsim::scheduler& eng, directory_config cfg);
+    domain_directory(netsim::engine& eng, directory_config cfg);
 
     /// Adds/updates a resource this domain owns and exports.
     void publish(resource_record r);
@@ -101,7 +101,7 @@ private:
     void schedule_gossip();
     void expire_stale();
 
-    netsim::scheduler& eng_;
+    netsim::engine& eng_;
     directory_config cfg_;
     std::uint64_t next_version_{1};
     std::map<wire::ipv4_addr, advertised_resource> table_;

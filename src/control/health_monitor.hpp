@@ -11,7 +11,7 @@
 
 #include "common/units.hpp"
 #include "control/planner.hpp"
-#include "netsim/scheduler.hpp"
+#include "netsim/engine.hpp"
 #include "netsim/link.hpp"
 
 #include <functional>
@@ -27,7 +27,7 @@ struct health_stats {
 
 class health_monitor {
 public:
-    health_monitor(netsim::scheduler& eng, capacity_planner& planner)
+    health_monitor(netsim::engine& eng, capacity_planner& planner)
         : eng_(eng), planner_(planner)
     {
     }
@@ -55,7 +55,7 @@ public:
 private:
     void on_transition(const link_id& id, bool up);
 
-    netsim::scheduler& eng_;
+    netsim::engine& eng_;
     capacity_planner& planner_;
     std::vector<transition> history_;
     std::vector<listener> listeners_;

@@ -43,33 +43,6 @@ struct sender_config {
     /// quiet period before recovery begins; each new signal pushes it
     /// out again) and `timing.recovery_interval`.
     timing_profile timing{};
-
-    /// Deprecated aliases (one release): old field names for the knobs
-    /// that moved into `timing`.
-    sim_duration& backpressure_hold{timing.hold};
-    sim_duration& recovery_interval{timing.recovery_interval};
-
-    sender_config() = default;
-    sender_config(const sender_config& o)
-        : origin_mode(o.origin_mode), timestamp(o.timestamp),
-          max_datagram_payload(o.max_datagram_payload), pace(o.pace),
-          honor_backpressure(o.honor_backpressure),
-          min_pace_fraction(o.min_pace_fraction),
-          recovery_step_fraction(o.recovery_step_fraction), timing(o.timing)
-    {
-    }
-    sender_config& operator=(const sender_config& o)
-    {
-        origin_mode = o.origin_mode;
-        timestamp = o.timestamp;
-        max_datagram_payload = o.max_datagram_payload;
-        pace = o.pace;
-        honor_backpressure = o.honor_backpressure;
-        min_pace_fraction = o.min_pace_fraction;
-        recovery_step_fraction = o.recovery_step_fraction;
-        timing = o.timing; // aliases rebind nothing: they track our own timing
-        return *this;
-    }
 };
 
 struct sender_stats {
@@ -178,7 +151,7 @@ private:
     // Pending recovery timer: cancelled and re-armed when a fresher
     // signal extends bp_until_, so superseded timers are dropped at the
     // wheel instead of dead-firing.
-    netsim::engine::timer_handle recovery_timer_;
+    netsim::timer_handle recovery_timer_;
     std::uint16_t epoch_{0};
     std::uint32_t trace_site_{0};
 };

@@ -47,22 +47,13 @@ struct engine_profile {
     double wall_seconds{0.0};
 };
 
-/// The concrete single-threaded event loop; implements scheduler and is
-/// `final` so engine-typed callers (and cached as_engine() pointers)
-/// devirtualize every call.
-class engine final : public scheduler {
+/// The single-threaded event loop. Every component schedules on the
+/// engine of its network domain; the shard coordinator's control plane
+/// is an engine too.
+class engine {
 public:
-    using action = inline_task;
-
-    static constexpr std::uint32_t no_slot = scheduler_no_slot;
-
-    /// Alias of netsim::timer_handle, kept for pre-scheduler call sites.
-    using timer_handle = netsim::timer_handle;
-
     /// Current simulated time.
-    sim_time now() const override { return now_; }
-
-    engine* as_engine() override { return this; }
+    sim_time now() const { return now_; }
 
     // Scheduling and dispatch are defined inline: the compiler then sees
     // the concrete closure type from construction through slab parking,
@@ -118,7 +109,7 @@ public:
     /// the wheel or heap — the event never fires. Returns false (no-op)
     /// for inactive or stale handles, and for a timer cancelling itself
     /// from inside its own callback. Deactivates `h` either way.
-    bool cancel(timer_handle& h) override
+    bool cancel(timer_handle& h)
     {
         const std::uint32_t slot = h.slot;
         const std::uint32_t gen = h.gen;
@@ -186,21 +177,9 @@ public:
     /// pick each conservative epoch's base time.
     bool next_event_at(sim_time& at) { return next_at(at); }
 
-protected:
-    // scheduler type-erased core: one extra inline_task relocation into
-    // the slab, then the identical park/dispatch machinery.
-    void post(sim_time at, task_class tc, inline_task&& t) override
-    {
-        park(at < now_ ? now_ : at, tc, std::move(t));
-    }
-
-    timer_handle post_cancellable(sim_time at, task_class tc, inline_task&& t) override
-    {
-        const std::uint32_t slot = park(at < now_ ? now_ : at, tc, std::move(t));
-        return timer_handle{slot, gen_[slot]};
-    }
-
 private:
+    static constexpr std::uint32_t no_slot = scheduler_no_slot;
+
     struct key {
         sim_time at;
         std::uint64_t seq;
@@ -221,7 +200,7 @@ private:
     static constexpr std::uint32_t slab_block_bits = 8; // 256 tasks/block
     static constexpr std::uint32_t slab_block_size = 1u << slab_block_bits;
 
-    action& task_at(std::uint32_t slot)
+    inline_task& task_at(std::uint32_t slot)
     {
         return blocks_[slot >> slab_block_bits][slot & (slab_block_size - 1)];
     }
@@ -274,7 +253,7 @@ private:
             free_slots_.pop_back();
         } else {
             if ((task_count_ >> slab_block_bits) == blocks_.size()) {
-                blocks_.push_back(std::make_unique<action[]>(slab_block_size));
+                blocks_.push_back(std::make_unique<inline_task[]>(slab_block_size));
                 gen_.resize(blocks_.size() * slab_block_size, 0);
                 dead_.resize(blocks_.size() * slab_block_size, 0);
                 // The free list must be able to absorb every slot (a
@@ -299,7 +278,7 @@ private:
     std::uint64_t next_seq_{0};
     dary_heap<key, sooner> events_;
     timing_wheel<key> wheel_;
-    std::vector<std::unique_ptr<action[]>> blocks_;
+    std::vector<std::unique_ptr<inline_task[]>> blocks_;
     std::uint32_t task_count_{0};
     std::vector<std::uint32_t> free_slots_;
     // Cancellation bookkeeping, indexed by slot. gen_ advances at every

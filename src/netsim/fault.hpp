@@ -22,9 +22,9 @@
 #pragma once
 
 #include "common/units.hpp"
+#include "netsim/engine.hpp"
 #include "netsim/link.hpp"
 #include "netsim/node.hpp"
-#include "netsim/scheduler.hpp"
 
 #include <cstdint>
 #include <functional>
@@ -55,7 +55,7 @@ struct fault_stats {
 /// target resolves to the one engine.
 class fault_scheduler {
 public:
-    explicit fault_scheduler(scheduler& eng) : eng_(eng) {}
+    explicit fault_scheduler(engine& eng) : eng_(eng) {}
 
     /// Takes the link down at `at` (no-op if already down then).
     void fail_link_at(link& l, sim_time at);
@@ -111,8 +111,8 @@ private:
     void dispatch_hooks(std::map<const node*, std::vector<std::function<void()>>>& hooks,
                         const node& n);
 
-    scheduler& eng_; // build-time default domain (unused by targeted events)
-    std::mutex mu_;  // guards stats_ and the hook maps across shard threads
+    engine& eng_;   // build-time default domain (unused by targeted events)
+    std::mutex mu_; // guards stats_ and the hook maps across shard threads
     fault_stats stats_;
     std::map<const node*, std::vector<std::function<void()>>> blackout_hooks_;
     std::map<const node*, std::vector<std::function<void()>>> restore_hooks_;

@@ -1,6 +1,5 @@
 #include "netsim/link.hpp"
 
-#include "netsim/engine.hpp"
 #include "netsim/shard.hpp"
 
 #include <limits>
@@ -8,10 +7,9 @@
 
 namespace mmtp::netsim {
 
-link::link(scheduler& sched, rng noise, node& to, unsigned ingress_port_at_dst,
+link::link(engine& sched, rng noise, node& to, unsigned ingress_port_at_dst,
            const link_config& cfg, std::unique_ptr<queue_disc> q)
     : sched_(sched),
-      fast_(sched.as_engine()),
       noise_(noise),
       to_(to),
       ingress_port_at_dst_(ingress_port_at_dst),
@@ -34,7 +32,7 @@ void link::set_up(bool up)
 {
     if (up_ == up) return;
     up_ = up;
-    trace::emit(lnow(), trace_site_, up_ ? trace::hop::link_up : trace::hop::link_down,
+    trace::emit(sched_.now(), trace_site_, up_ ? trace::hop::link_up : trace::hop::link_down,
                 0, queue_->packet_depth());
     if (state_watcher_) state_watcher_(up_);
     // Repair restarts the serializer on whatever survived in the queue.
@@ -47,7 +45,7 @@ void link::send(packet&& p)
     // and burst-aware senders interleave in one coherent virtual-time
     // order. Non-burst links (the default) never reach the pump.
     if (burst_enabled()) {
-        send_at(lnow(), std::move(p));
+        send_at(sched_.now(), std::move(p));
         return;
     }
     const std::uint64_t pid = p.id;
@@ -55,13 +53,13 @@ void link::send(packet&& p)
     if (!up_) {
         stats_.dropped_down++;
         stats_.dropped_down_bytes += wire;
-        trace::emit(lnow(), trace_site_, trace::hop::link_drop, pid, wire,
+        trace::emit(sched_.now(), trace_site_, trace::hop::link_drop, pid, wire,
                     trace::reason::link_down);
         return;
     }
     if (wire > cfg_.mtu) {
         stats_.dropped_oversize++;
-        trace::emit(lnow(), trace_site_, trace::hop::link_drop, pid, wire,
+        trace::emit(sched_.now(), trace_site_, trace::hop::link_drop, pid, wire,
                     trace::reason::oversize);
         return;
     }
@@ -71,19 +69,19 @@ void link::send(packet&& p)
     if (!busy_ && !depth_watcher_ && queue_->empty() && queue_->would_accept(p)) {
         queue_->note_passthrough(wire);
         busy_ = true;
-        trace::emit(lnow(), trace_site_, trace::hop::link_enqueue, pid, wire);
-        trace::emit(lnow(), trace_site_, trace::hop::link_dequeue, pid, wire);
+        trace::emit(sched_.now(), trace_site_, trace::hop::link_enqueue, pid, wire);
+        trace::emit(sched_.now(), trace_site_, trace::hop::link_dequeue, pid, wire);
         transmit(std::move(p));
         return;
     }
     if (!queue_->enqueue(std::move(p))) {
         // queue discipline recorded the drop
-        trace::emit(lnow(), trace_site_, trace::hop::link_drop, pid, wire,
+        trace::emit(sched_.now(), trace_site_, trace::hop::link_drop, pid, wire,
                     trace::reason::queue_full);
         if (depth_watcher_) depth_watcher_(queue_->byte_depth());
         return;
     }
-    trace::emit(lnow(), trace_site_, trace::hop::link_enqueue, pid, wire);
+    trace::emit(sched_.now(), trace_site_, trace::hop::link_enqueue, pid, wire);
     if (depth_watcher_) depth_watcher_(queue_->byte_depth());
     kick();
 }
@@ -93,7 +91,7 @@ void link::kick()
     if (busy_ || !up_) return;
     packet next;
     if (!queue_->dequeue_into(next)) return;
-    trace::emit(lnow(), trace_site_, trace::hop::link_dequeue, next.id, next.wire_size());
+    trace::emit(sched_.now(), trace_site_, trace::hop::link_dequeue, next.id, next.wire_size());
     busy_ = true;
     transmit(std::move(next));
 }
@@ -109,7 +107,7 @@ void link::transmit(packet&& p)
     if (cfg_.drop_probability > 0.0 && noise_.chance(cfg_.drop_probability)) {
         stats_.dropped_random++;
         stats_.dropped_random_bytes += wire;
-        trace::emit(lnow(), trace_site_, trace::hop::link_drop, p.id, wire,
+        trace::emit(sched_.now(), trace_site_, trace::hop::link_drop, p.id, wire,
                     trace::reason::random_loss);
         drop = true;
     } else {
@@ -121,13 +119,13 @@ void link::transmit(packet&& p)
         if (noise_.chance(pkt_prob < 1.0 ? pkt_prob : 1.0)) {
             stats_.corrupted++;
             p.corrupted = true; // delivered, then dropped by the receiver
-            trace::emit(lnow(), trace_site_, trace::hop::link_corrupt, p.id, wire);
+            trace::emit(sched_.now(), trace_site_, trace::hop::link_corrupt, p.id, wire);
         }
     }
 
     // Arrival at the far end after serialization + propagation.
     if (!drop) {
-        p.stamp = lnow() + tx + cfg_.propagation; // exact arrival time
+        p.stamp = sched_.now() + tx + cfg_.propagation; // exact arrival time
         if (coord_ != nullptr) {
             // Partition cut: stage into the destination shard's mailbox;
             // the coordinator delivers it at the next epoch barrier
@@ -142,12 +140,13 @@ void link::transmit(packet&& p)
             };
             static_assert(inline_task::stored_inline<decltype(arrival)>,
                           "link arrival closure must not heap-allocate");
-            sched_in(tx + cfg_.propagation, task_class::link_arrival, std::move(arrival));
+            sched_.schedule_in(tx + cfg_.propagation, task_class::link_arrival,
+                               std::move(arrival));
         }
     }
 
     // Serializer frees after the transmission time; send the next packet.
-    sched_in(tx, task_class::link_tx, [this] {
+    sched_.schedule_in(tx, task_class::link_tx, [this] {
         busy_ = false;
         kick();
     });
@@ -168,17 +167,17 @@ void link::send_at(sim_time t, packet&& p)
     if (!burst_enabled()) {
         // Degrade to the per-packet path: immediately when due, else via
         // an event at the packet's virtual send time.
-        if (t <= lnow()) {
+        if (t <= sched_.now()) {
             send(std::move(p));
             return;
         }
         auto push = [this, pkt = std::move(p)]() mutable { send(std::move(pkt)); };
         static_assert(inline_task::stored_inline<decltype(push)>,
                       "deferred link send closure must not heap-allocate");
-        sched_at(t, task_class::link_tx, std::move(push));
+        sched_.schedule_at(t, task_class::link_tx, std::move(push));
         return;
     }
-    const sim_time now = lnow();
+    const sim_time now = sched_.now();
     p.stamp = t < now ? now : t;
     const std::uint64_t pid = p.id;
     const std::uint64_t wire = p.wire_size();
@@ -200,7 +199,7 @@ void link::send_at(sim_time t, packet&& p)
         pump_scheduled_ = true;
         // Same-instant FIFO means this runs after every send_at from the
         // currently-executing event — one pump pass per sending instant.
-        sched_at(now, task_class::link_tx, [this] { pump(); });
+        sched_.schedule_at(now, task_class::link_tx, [this] { pump(); });
     }
 }
 
@@ -320,7 +319,7 @@ void link::flush_arrivals()
     };
     static_assert(inline_task::stored_inline<decltype(deliver)>,
                   "burst arrival closure must not heap-allocate");
-    sched_at(ab->pkts[0].stamp, task_class::link_arrival, std::move(deliver));
+    sched_.schedule_at(ab->pkts[0].stamp, task_class::link_arrival, std::move(deliver));
 }
 
 link::arrival_burst* link::acquire_burst()

@@ -15,7 +15,6 @@
 #include "common/units.hpp"
 #include "netsim/engine.hpp"
 #include "netsim/queue.hpp"
-#include "netsim/scheduler.hpp"
 
 #include <array>
 #include <cstdint>
@@ -26,7 +25,6 @@
 namespace mmtp::netsim {
 
 class node;
-class engine;
 class shard_coordinator;
 
 /// Upper bound on packets per burst event (arrival buffers are
@@ -75,10 +73,8 @@ class link {
 public:
     /// `to` must outlive the link. A custom queue discipline may be
     /// supplied; otherwise a drop-tail FIFO of the configured capacity.
-    /// Scheduling goes through the narrow scheduler seam; when the
-    /// scheduler is a concrete engine (always, today) the link caches the
-    /// downcast and keeps the fully inlined slab path.
-    link(scheduler& sched, rng noise, node& to, unsigned ingress_port_at_dst,
+    /// `sched` is the sending side's engine.
+    link(engine& sched, rng noise, node& to, unsigned ingress_port_at_dst,
          const link_config& cfg, std::unique_ptr<queue_disc> q = nullptr);
 
     /// Queues the packet for transmission; drops it (recording stats)
@@ -142,7 +138,7 @@ public:
     /// The scheduling domain this link's events run in (the source
     /// node's domain — egress queue, serializer and fault timers all
     /// live on the sending side).
-    scheduler& sched() { return sched_; }
+    engine& sched() { return sched_; }
 
     /// Marks this link as a partition cut: arrivals are staged into the
     /// coordinator's mailbox for shard `to` instead of being scheduled
@@ -155,24 +151,6 @@ public:
 private:
     void kick();
     void transmit(packet&& p);
-
-    sim_time lnow() const { return fast_ ? fast_->now() : sched_.now(); }
-    template <typename F>
-    void sched_in(sim_duration d, task_class tc, F&& fn)
-    {
-        if (fast_)
-            fast_->schedule_in(d, tc, std::forward<F>(fn));
-        else
-            sched_.schedule_in(d, tc, std::forward<F>(fn));
-    }
-    template <typename F>
-    void sched_at(sim_time t, task_class tc, F&& fn)
-    {
-        if (fast_)
-            fast_->schedule_at(t, tc, std::forward<F>(fn));
-        else
-            sched_.schedule_at(t, tc, std::forward<F>(fn));
-    }
 
     // --- burst machinery (active only when burst_enabled()) ---
     void pump();
@@ -189,8 +167,7 @@ private:
     arrival_burst* acquire_burst();
     void release_burst(arrival_burst* ab);
 
-    scheduler& sched_;
-    engine* fast_; // sched_.as_engine(), cached once at construction
+    engine& sched_;
     shard_coordinator* coord_{nullptr};
     unsigned shard_from_{0};
     unsigned shard_to_{0};

@@ -49,9 +49,9 @@ public:
     shard_coordinator& coordinator() { return *coord_; }
     unsigned shard_count() const { return coord_->shard_count(); }
 
-    /// Barrier-synchronous scheduler for cross-domain observers (shard
-    /// 0's engine when single-sharded — see shard_coordinator).
-    scheduler& control_plane() { return coord_->control_plane(); }
+    /// Barrier-synchronous engine for cross-domain observers (shard 0's
+    /// engine when single-sharded — see shard_coordinator).
+    engine& control_plane() { return coord_->control_plane(); }
 
     /// Domain `d`'s engine (domains fold onto shards modulo the count).
     engine& engine_for(unsigned domain)
@@ -82,7 +82,7 @@ public:
 
     /// Creates a node of type T (host, pnet::programmable_switch, ...)
     /// in the current domain. T's constructor must be
-    /// (scheduler&, string, ipv4_addr, mac_addr, ...).
+    /// (engine&, string, ipv4_addr, mac_addr, ...).
     template <typename T, typename... Args>
     T& emplace(const std::string& name, Args&&... args)
     {

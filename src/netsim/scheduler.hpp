@@ -1,41 +1,16 @@
-// scheduler.hpp — the narrow scheduling interface every component codes
-// against.
-//
-// Historically every model component (link, node, fault_scheduler, the
-// pnet stages, the protocol stacks, the telemetry trackers) took a raw
-// `engine&`, which hard-wired one global event loop into the whole
-// codebase. The sharded coordinator (netsim/shard.hpp) runs one engine
-// per network domain, so components must be schedulable against *their
-// domain's* event loop — or against the coordinator's barrier-synchronous
-// control plane — through one narrow seam:
-//
-//   now()                       current virtual time
-//   schedule_at / schedule_in   fire-and-forget events (optionally tagged)
-//   schedule_cancellable_in     supersedable timers
-//   cancel()                    generation-checked cancellation
-//
-// `engine` implements this interface. Its own template schedule methods
-// shadow the ones here, so engine-typed callers keep the fully inlined
-// slab path (zero virtual dispatch on the packet hot path); callers that
-// hold a `scheduler&` pay one type-erased inline_task hand-off per event.
-// Hot components (link) additionally cache `as_engine()` to stay
-// devirtualized even when constructed through the interface.
-//
-// Migration note: engine& converts to scheduler& implicitly, so every
-// pre-existing call site that passed an engine keeps compiling — see
-// README "Scheduler API migration".
+// scheduler.hpp — the vocabulary shared by every event loop: handler
+// classes for profiling and the cancellable-timer handle. The event loop
+// itself is netsim::engine (netsim/engine.hpp); this header stays small
+// so code that only names task classes or holds timer handles need not
+// pull in the engine.
 #pragma once
 
-#include "common/inline_task.hpp"
-#include "common/units.hpp"
-
+#include <cstddef>
 #include <cstdint>
 
 namespace mmtp::netsim {
 
-class engine;
-
-/// Coarse handler classes for engine profiling. Schedulers may tag each
+/// Coarse handler classes for engine profiling. Callers may tag each
 /// event; untagged events count as `generic`. The tag rides in padding of
 /// the heap key, so tagging costs nothing in size or ordering. The tag
 /// also picks the scheduling structure inside `engine`: timer/protocol/
@@ -63,72 +38,6 @@ struct timer_handle {
     std::uint32_t slot{scheduler_no_slot};
     std::uint32_t gen{0};
     bool active() const { return slot != scheduler_no_slot; }
-};
-
-class scheduler {
-public:
-    virtual ~scheduler() = default;
-
-    /// Current virtual time of this scheduling domain.
-    virtual sim_time now() const = 0;
-
-    /// Schedules `fn` at absolute time `at` (clamped to >= now()).
-    template <typename F>
-    void schedule_at(sim_time at, F&& fn)
-    {
-        post(at, task_class::generic, inline_task(std::forward<F>(fn)));
-    }
-
-    /// Tagged variant: the event is attributed to `tc` in profiles.
-    template <typename F>
-    void schedule_at(sim_time at, task_class tc, F&& fn)
-    {
-        post(at, tc, inline_task(std::forward<F>(fn)));
-    }
-
-    /// Schedules `fn` after `delay` (clamped to >= 0).
-    template <typename F>
-    void schedule_in(sim_duration delay, F&& fn)
-    {
-        if (delay.ns < 0) delay = sim_duration::zero();
-        post(now() + delay, task_class::generic, inline_task(std::forward<F>(fn)));
-    }
-
-    /// Tagged variant: the event is attributed to `tc` in profiles.
-    template <typename F>
-    void schedule_in(sim_duration delay, task_class tc, F&& fn)
-    {
-        if (delay.ns < 0) delay = sim_duration::zero();
-        post(now() + delay, tc, inline_task(std::forward<F>(fn)));
-    }
-
-    /// Like schedule_in, but returns a handle accepted by cancel().
-    /// Meant for supersedable timers (RTO, backpressure recovery): when
-    /// the deadline moves, cancel and reschedule instead of letting the
-    /// stale closure fire dead.
-    template <typename F>
-    timer_handle schedule_cancellable_in(sim_duration delay, task_class tc, F&& fn)
-    {
-        if (delay.ns < 0) delay = sim_duration::zero();
-        return post_cancellable(now() + delay, tc, inline_task(std::forward<F>(fn)));
-    }
-
-    /// Cancels a pending timer: no-op on inactive or stale handles.
-    /// Deactivates `h` either way. Returns true when a live timer was
-    /// genuinely dropped.
-    virtual bool cancel(timer_handle& h) = 0;
-
-    /// Concrete-engine escape hatch for hot paths: non-null when this
-    /// scheduler *is* an engine, letting callers cache the downcast once
-    /// and keep the fully inlined schedule path. Interface-only
-    /// schedulers (the coordinator's barrier control plane) return null.
-    virtual engine* as_engine() { return nullptr; }
-
-protected:
-    /// Type-erased core: enqueue `t` at `at` under class `tc`.
-    virtual void post(sim_time at, task_class tc, inline_task&& t) = 0;
-    virtual timer_handle post_cancellable(sim_time at, task_class tc,
-                                          inline_task&& t) = 0;
 };
 
 } // namespace mmtp::netsim

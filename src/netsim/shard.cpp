@@ -6,104 +6,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <limits>
 
 namespace mmtp::netsim {
-
-// --- barrier_scheduler ---------------------------------------------------
-
-std::uint32_t barrier_scheduler::park(sim_time at, inline_task&& t)
-{
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    slots_[slot].fn = std::move(t);
-    slots_[slot].dead = false;
-    queue_.push_back(entry{at < now_ ? now_ : at, next_seq_++, slot});
-    std::push_heap(queue_.begin(), queue_.end(), [](const entry& a, const entry& b) {
-        if (a.at != b.at) return a.at > b.at;
-        return a.seq > b.seq;
-    });
-    return slot;
-}
-
-void barrier_scheduler::post(sim_time at, task_class, inline_task&& t)
-{
-    park(at, std::move(t));
-}
-
-timer_handle barrier_scheduler::post_cancellable(sim_time at, task_class,
-                                                 inline_task&& t)
-{
-    const std::uint32_t slot = park(at, std::move(t));
-    return timer_handle{slot, slots_[slot].gen};
-}
-
-bool barrier_scheduler::cancel(timer_handle& h)
-{
-    const std::uint32_t slot = h.slot;
-    const std::uint32_t gen = h.gen;
-    h.slot = scheduler_no_slot;
-    if (slot == scheduler_no_slot || slot >= slots_.size()) return false;
-    if (slots_[slot].gen != gen || slots_[slot].dead) return false;
-    slots_[slot].dead = true;
-    slots_[slot].fn.reset();
-    return true;
-}
-
-bool barrier_scheduler::peek(sim_time& at)
-{
-    auto later = [](const entry& a, const entry& b) {
-        if (a.at != b.at) return a.at > b.at;
-        return a.seq > b.seq;
-    };
-    while (!queue_.empty()) {
-        const entry& top = queue_.front();
-        if (!slots_[top.slot].dead) {
-            at = top.at;
-            return true;
-        }
-        std::pop_heap(queue_.begin(), queue_.end(), later);
-        const std::uint32_t slot = queue_.back().slot;
-        queue_.pop_back();
-        slots_[slot].dead = false;
-        slots_[slot].gen++;
-        free_slots_.push_back(slot);
-    }
-    return false;
-}
-
-bool barrier_scheduler::empty()
-{
-    sim_time unused;
-    return !peek(unused);
-}
-
-std::uint64_t barrier_scheduler::run_due(sim_time limit)
-{
-    auto later = [](const entry& a, const entry& b) {
-        if (a.at != b.at) return a.at > b.at;
-        return a.seq > b.seq;
-    };
-    std::uint64_t n = 0;
-    sim_time at;
-    while (peek(at) && at <= limit) {
-        std::pop_heap(queue_.begin(), queue_.end(), later);
-        const entry e = queue_.back();
-        queue_.pop_back();
-        now_ = e.at;
-        slots_[e.slot].fn.run_and_reset();
-        slots_[e.slot].gen++;
-        free_slots_.push_back(e.slot);
-        ++n;
-    }
-    return n;
-}
 
 // --- shard_coordinator ---------------------------------------------------
 
@@ -114,7 +20,7 @@ shard_coordinator::shard_coordinator(unsigned shards)
     for (unsigned i = 0; i < shards; ++i) shards_.push_back(std::make_unique<engine>());
     mailboxes_.resize(static_cast<std::size_t>(shards) * shards);
     recorders_.assign(shards, nullptr);
-    epoch_executed_.assign(shards, 0);
+    tallies_.assign(shards, epoch_tally{});
 
     // Threads buy wall-clock only with real cores; the epoch algorithm
     // and its output are identical either way, so default them off on
@@ -129,7 +35,7 @@ shard_coordinator::shard_coordinator(unsigned shards)
 
 shard_coordinator::~shard_coordinator() { stop_workers(); }
 
-scheduler& shard_coordinator::control_plane()
+engine& shard_coordinator::control_plane()
 {
     if (!multi()) return *shards_[0];
     return ctl_;
@@ -191,45 +97,64 @@ std::uint64_t shard_coordinator::deliver_mail()
     return delivered;
 }
 
+namespace {
+/// CPU time the calling thread has used. Unlike wall time it stops while
+/// the thread is descheduled, so per-shard epoch costs stay honest when
+/// worker threads outnumber free cores.
+double thread_cpu_seconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+} // namespace
+
+shard_coordinator::epoch_tally shard_coordinator::run_shard(unsigned i, sim_time until,
+                                                            double& cpu_mark)
+{
+    engine& e = *shards_[i];
+    const double wall0 = e.profile().wall_seconds;
+    const std::uint64_t n = e.run_until(until);
+    // One clock read per shard per epoch: the thread CPU clock is a
+    // system call, and a second read before run_until() showed up in
+    // end-to-end sharded runs.
+    const double cpu = thread_cpu_seconds();
+    const epoch_tally t{n, e.profile().wall_seconds - wall0, cpu - cpu_mark};
+    cpu_mark = cpu;
+    return t;
+}
+
 std::uint64_t shard_coordinator::run_epoch(sim_time until)
 {
     const unsigned n = shard_count();
-    std::uint64_t executed = 0;
-    double slowest = 0.0;
-    double serial = 0.0;
     if (threads_on_) {
         if (workers_.empty()) start_workers();
-        std::vector<double> wall_before(n);
-        for (unsigned i = 0; i < n; ++i)
-            wall_before[i] = shards_[i]->profile().wall_seconds;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            epoch_target_ = until;
-            done_count_ = 0;
-            epoch_gen_++;
-            cv_go_.notify_all();
-            cv_done_.wait(lk, [&] { return done_count_ == n; });
-        }
-        for (unsigned i = 0; i < n; ++i) {
-            executed += epoch_executed_[i];
-            const double dt = shards_[i]->profile().wall_seconds - wall_before[i];
-            serial += dt;
-            if (dt > slowest) slowest = dt;
-        }
+        std::unique_lock<std::mutex> lk(mu_);
+        epoch_target_ = until;
+        done_count_ = 0;
+        epoch_gen_++;
+        cv_go_.notify_all();
+        cv_done_.wait(lk, [&] { return done_count_ == n; });
     } else {
         trace::flight_recorder* saved = trace::recorder();
+        double cpu_mark = thread_cpu_seconds();
         for (unsigned i = 0; i < n; ++i) {
             trace::install(recorders_[i]);
-            const double before = shards_[i]->profile().wall_seconds;
-            executed += shards_[i]->run_until(until);
-            const double dt = shards_[i]->profile().wall_seconds - before;
-            serial += dt;
-            if (dt > slowest) slowest = dt;
+            tallies_[i] = run_shard(i, until, cpu_mark);
         }
         trace::install(saved);
     }
-    scaling_.critical_path_seconds += slowest;
-    scaling_.serial_seconds += serial;
+    std::uint64_t executed = 0;
+    epoch_tally slowest{};
+    for (const epoch_tally& t : tallies_) {
+        executed += t.executed;
+        scaling_.serial_seconds += t.wall_seconds;
+        scaling_.serial_cpu_seconds += t.cpu_seconds;
+        if (t.wall_seconds > slowest.wall_seconds) slowest.wall_seconds = t.wall_seconds;
+        if (t.cpu_seconds > slowest.cpu_seconds) slowest.cpu_seconds = t.cpu_seconds;
+    }
+    scaling_.critical_path_seconds += slowest.wall_seconds;
+    scaling_.critical_path_cpu_seconds += slowest.cpu_seconds;
     return executed;
 }
 
@@ -255,12 +180,19 @@ std::uint64_t shard_coordinator::run()
             }
         }
         sim_time tctl{};
-        const bool have_ctl = ctl_.peek(tctl);
+        const bool have_ctl = ctl_.next_event_at(tctl);
         if (!have && !have_ctl) break;
         // Control-plane tasks due no later than the next engine event run
         // first, at the barrier, with every shard quiescent beyond them.
+        // Stepped rather than run_until(): that would move the control
+        // plane's now() on to the limit instead of the last task's time.
         if (have_ctl && (!have || tctl <= tmin)) {
-            executed += ctl_.run_due(have ? tmin : tctl);
+            const sim_time limit = have ? tmin : tctl;
+            sim_time at;
+            while (ctl_.next_event_at(at) && at <= limit) {
+                ctl_.step();
+                ++executed;
+            }
             continue;
         }
         sim_time until = horizon; // no cut links: one epoch drains all
@@ -302,6 +234,9 @@ void shard_coordinator::stop_workers()
 void shard_coordinator::worker_loop(unsigned i)
 {
     std::uint64_t seen = 0;
+    // Measured from the previous epoch's end, so each epoch's CPU time
+    // also covers this worker's barrier hand-off.
+    double cpu_mark = thread_cpu_seconds();
     for (;;) {
         sim_time until;
         {
@@ -313,10 +248,10 @@ void shard_coordinator::worker_loop(unsigned i)
         }
         // Thread-local recorder: this shard's emits land in its own ring.
         trace::install(recorders_[i]);
-        const std::uint64_t n = shards_[i]->run_until(until);
+        const epoch_tally t = run_shard(i, until, cpu_mark);
         {
             std::lock_guard<std::mutex> lk(mu_);
-            epoch_executed_[i] = n;
+            tallies_[i] = t;
             if (++done_count_ == shard_count()) cv_done_.notify_one();
         }
     }

@@ -55,48 +55,6 @@ namespace mmtp::netsim {
 
 class node;
 
-/// Barrier-synchronous scheduler for cross-domain control-plane tasks.
-/// Tasks run between epochs — all shards quiescent and advanced past the
-/// task's time — with now() pinned to each task's scheduled time. Only
-/// the coordinator thread may touch it (schedule during build, or from a
-/// running control-plane task).
-class barrier_scheduler final : public scheduler {
-public:
-    sim_time now() const override { return now_; }
-    bool cancel(timer_handle& h) override;
-
-    /// Earliest queued live task time; false when drained.
-    bool peek(sim_time& at);
-    /// Runs queued tasks with at <= limit in (time, schedule-order),
-    /// advancing now() through each task's time. Returns tasks run.
-    std::uint64_t run_due(sim_time limit);
-
-    bool empty();
-
-protected:
-    void post(sim_time at, task_class tc, inline_task&& t) override;
-    timer_handle post_cancellable(sim_time at, task_class tc, inline_task&& t) override;
-
-private:
-    struct entry {
-        sim_time at;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
-    struct slot_rec {
-        inline_task fn;
-        std::uint32_t gen{0};
-        bool dead{false};
-    };
-    std::uint32_t park(sim_time at, inline_task&& t);
-
-    std::vector<entry> queue_; // kept as a (at, seq) min-heap
-    std::vector<slot_rec> slots_;
-    std::vector<std::uint32_t> free_slots_;
-    sim_time now_{sim_time::zero()};
-    std::uint64_t next_seq_{0};
-};
-
 /// Owns N per-domain engines and advances them conservatively. One
 /// instance per network; netsim::network constructs it and routes
 /// cross-domain link traversals through post_arrival().
@@ -117,7 +75,9 @@ public:
 
     /// The barrier-synchronous control plane — or shard 0's engine when
     /// single-sharded, so single-shard scheduling order is unchanged.
-    scheduler& control_plane();
+    /// Multi-shard, it is an engine of its own whose tasks run between
+    /// epochs, with now() left at the last task's time.
+    engine& control_plane();
 
     /// Registers a cut link's propagation delay; the minimum over all
     /// cut links is the epoch lookahead. Callers must reject zero-latency
@@ -149,19 +109,24 @@ public:
     void set_threading(bool on) { threads_on_ = on; }
     bool threading() const { return threads_on_; }
 
-    /// Parallelism accounting for the shard-scaling bench: wall time of
-    /// the slowest shard per epoch, summed (the critical path a parallel
-    /// run is bounded by), versus the serial sum of all shards' dispatch
-    /// time. Measurement-only — never byte-compared.
+    /// Parallelism accounting for the shard-scaling bench: time of the
+    /// slowest shard per epoch, summed (the critical path a parallel run
+    /// is bounded by), versus the serial sum of all shards' dispatch
+    /// time. Each comes as wall time and as the shard thread's CPU time;
+    /// only the latter excludes time a worker spent descheduled.
+    /// Measurement-only — never byte-compared.
     struct scaling_profile {
         double critical_path_seconds{0.0};
         double serial_seconds{0.0};
+        double critical_path_cpu_seconds{0.0};
+        double serial_cpu_seconds{0.0};
         std::uint64_t epochs{0};
         std::uint64_t cross_shard_messages{0};
     };
     const scaling_profile& scaling() const { return scaling_; }
 
     /// Sum of per-shard executed-event counts (post-run reporting).
+    /// Control-plane tasks are not shard events and are not counted.
     std::uint64_t executed() const;
 
 private:
@@ -178,7 +143,18 @@ private:
         std::uint64_t next_seq{0};
     };
 
+    /// One shard's share of an epoch: events run, the wall seconds its
+    /// run_until() took, and the CPU seconds its thread used since
+    /// `cpu_mark`, that thread's previous reading (run_shard() updates
+    /// it).
+    struct epoch_tally {
+        std::uint64_t executed{0};
+        double wall_seconds{0.0};
+        double cpu_seconds{0.0};
+    };
+
     std::uint64_t deliver_mail();
+    epoch_tally run_shard(unsigned i, sim_time until, double& cpu_mark);
     std::uint64_t run_epoch(sim_time target);
     void start_workers();
     void stop_workers();
@@ -188,7 +164,7 @@ private:
     std::vector<mailbox> mailboxes_; // [from * N + to]
     std::vector<mail> staged_;       // scratch for the per-barrier merge
     std::vector<trace::flight_recorder*> recorders_;
-    barrier_scheduler ctl_;
+    engine ctl_; // the multi-shard control plane
     sim_duration lookahead_{sim_duration::zero()}; // zero = unbounded epoch
     bool have_cut_{false};
     scaling_profile scaling_;
@@ -206,7 +182,7 @@ private:
     sim_time epoch_target_{sim_time::zero()};
     unsigned done_count_{0};
     bool quit_{false};
-    std::vector<std::uint64_t> epoch_executed_;
+    std::vector<epoch_tally> tallies_; // [shard], written by its runner
 };
 
 } // namespace mmtp::netsim

@@ -37,7 +37,7 @@ element_profile alveo_profile()
     return element_profile{"alveo", sim_duration{1500}}; // ~1.5 us FPGA datapath
 }
 
-programmable_switch::programmable_switch(netsim::scheduler& eng, std::string nm,
+programmable_switch::programmable_switch(netsim::engine& eng, std::string nm,
                                          wire::ipv4_addr addr, wire::mac_addr mc,
                                          element_profile profile)
     : node(eng, std::move(nm), addr, mc), profile_(std::move(profile))
@@ -135,7 +135,7 @@ void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
         auto push = [this, port, moved = std::move(pkt)]() mutable {
             egress(port).send(std::move(moved));
         };
-        static_assert(netsim::engine::action::stored_inline<decltype(push)>,
+        static_assert(inline_task::stored_inline<decltype(push)>,
                       "switch egress closure must not heap-allocate");
         eng_.schedule_in(delay, netsim::task_class::pipeline, std::move(push));
         return;
@@ -295,7 +295,7 @@ void programmable_switch::forward(netsim::packet&& p, wire::ipv4_addr dst, bool 
     auto push = [this, port, moved = std::move(p)]() mutable {
         egress(port).send(std::move(moved));
     };
-    static_assert(netsim::engine::action::stored_inline<decltype(push)>,
+    static_assert(inline_task::stored_inline<decltype(push)>,
                   "switch egress closure must not heap-allocate");
     eng_.schedule_in(profile_.pipeline_latency, netsim::task_class::pipeline, std::move(push));
 }

@@ -88,7 +88,7 @@ struct switch_stats {
 
 class programmable_switch : public netsim::node {
 public:
-    programmable_switch(netsim::scheduler& eng, std::string name, wire::ipv4_addr addr,
+    programmable_switch(netsim::engine& eng, std::string name, wire::ipv4_addr addr,
                         wire::mac_addr mac, element_profile profile = tofino2_profile());
 
     void receive(netsim::packet&& p, unsigned ingress_port) override;

@@ -146,7 +146,7 @@ TEST(campaign_determinism, every_driver_report_is_byte_identical_across_reruns)
 
 // CRC-32C + length of each checked-in scenario's report and metrics
 // CSV, captured from the build immediately before the sharded engine
-// landed. The scheduler seam, run_context and coordinator are allowed
+// landed. The per-domain engines, run_context and coordinator are allowed
 // to change *nothing* about a --shards=1 run: same event order, same
 // packet ids, same telemetry bytes. A pin moving means the refactor
 // perturbed the single-shard fast path — byte-compare against the old

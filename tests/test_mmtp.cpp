@@ -158,7 +158,7 @@ TEST(mmtp_sender, backpressure_scales_pace_down_then_recovers)
     mmtp_pair t;
     sender_config cfg;
     cfg.pace = data_rate::from_mbps(100);
-    cfg.backpressure_hold = 10_ms;
+    cfg.timing.hold = 10_ms;
     cfg.min_pace_fraction = 0.1;
     sender tx(*t.sa, t.b->address(), cfg);
 
@@ -197,7 +197,7 @@ TEST(mmtp_sender, weaker_signal_does_not_relax_stronger_suppression)
     mmtp_pair t;
     sender_config cfg;
     cfg.pace = data_rate::from_mbps(100);
-    cfg.backpressure_hold = 10_ms;
+    cfg.timing.hold = 10_ms;
     cfg.min_pace_fraction = 0.1;
     sender tx(*t.sa, t.b->address(), cfg);
 
@@ -283,7 +283,7 @@ struct recovery_rig {
         bcfg.assign_sequence_locally = true;
         svc = std::make_unique<buffer_service>(*s_src, bcfg);
 
-        rcfg.nak_retry = 3_ms;
+        rcfg.timing.retry_base = 3_ms;
         rx = std::make_unique<receiver>(*s_dst, rcfg);
     }
 
@@ -363,8 +363,8 @@ TEST(mmtp_receiver, gives_up_when_buffer_cannot_help)
     buffer_service svc(s_src, bcfg);
 
     receiver_config rcfg;
-    rcfg.nak_retry = 1_ms;
-    rcfg.max_nak_attempts = 3;
+    rcfg.timing.retry_base = 1_ms;
+    rcfg.timing.max_attempts = 3;
     receiver rx(s_dst, rcfg);
     std::vector<std::uint64_t> lost;
     rx.set_on_loss([&](wire::experiment_id, std::uint16_t, std::uint64_t s) {

@@ -1,7 +1,7 @@
-// The sharded simulation engine: the scheduler seam, the barrier-
-// synchronous control plane, epoch-boundary edge cases (zero-latency
-// cuts rejected, mailbox ties broken by (arrival, shard, seq)), and
-// whole-drill determinism at shards ∈ {1, 2, 4} — threaded or inline.
+// The sharded simulation engine: the barrier-synchronous control plane,
+// epoch-boundary edge cases (zero-latency cuts rejected, mailbox ties
+// broken by (arrival, shard, seq)), and whole-drill determinism at
+// shards ∈ {1, 2, 4} — threaded or inline, and equal across counts.
 #include "netsim/network.hpp"
 #include "netsim/shard.hpp"
 #include "scenario/chaos.hpp"
@@ -44,55 +44,36 @@ packet make_packet(std::uint64_t id)
     return p;
 }
 
+/// A metrics CSV minus the rows that legitimately depend on the shard
+/// count: per-shard engine counters (`engine_*`) and coordinator
+/// counters (`shard_*`). Everything the simulated network did remains.
+std::string shard_independent_rows(const std::string& metrics_csv)
+{
+    std::string out;
+    std::size_t pos = 0;
+    while (pos < metrics_csv.size()) {
+        std::size_t end = metrics_csv.find('\n', pos);
+        if (end == std::string::npos) end = metrics_csv.size();
+        const std::string row = metrics_csv.substr(pos, end - pos);
+        if (row.rfind("engine_", 0) != 0 && row.rfind("shard_", 0) != 0) out += row + "\n";
+        pos = end + 1;
+    }
+    return out;
+}
+
 } // namespace
-
-// ------------------------------------------------- the scheduler seam
-
-// Every component now schedules through scheduler&; the concrete engine
-// must behave identically through the virtual seam.
-TEST(scheduler_seam, engine_through_base_reference)
-{
-    engine eng;
-    scheduler& sched = eng;
-    EXPECT_EQ(sched.as_engine(), &eng);
-
-    std::vector<int> order;
-    sched.schedule_at(sim_time{200}, [&] { order.push_back(2); });
-    sched.schedule_at(sim_time{100}, [&] {
-        order.push_back(1);
-        // now() through the seam tracks the running event's time.
-        EXPECT_EQ(sched.now().ns, 100);
-    });
-    sched.schedule_in(sim_duration{300}, task_class::control,
-                      [&] { order.push_back(3); });
-    eng.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    // The task-class tag survived the type-erased hand-off.
-    EXPECT_EQ(eng.profile().executed_by_class[static_cast<std::size_t>(
-                  task_class::control)],
-              1u);
-}
-
-TEST(scheduler_seam, cancellable_timers_through_base_reference)
-{
-    engine eng;
-    scheduler& sched = eng;
-    bool fired = false;
-    auto h = sched.schedule_cancellable_in(sim_duration{500}, task_class::timer,
-                                           [&] { fired = true; });
-    EXPECT_TRUE(h.active());
-    EXPECT_TRUE(sched.cancel(h));
-    eng.run();
-    EXPECT_FALSE(fired);
-    // A stale handle cancels as a no-op.
-    EXPECT_FALSE(sched.cancel(h));
-}
 
 // ------------------------------------------ the barrier control plane
 
-TEST(barrier_scheduler, runs_tasks_in_time_then_schedule_order)
+// Multi-shard, the control plane is an engine of its own: its tasks run
+// at the barrier in (time, schedule order), before any shard event that
+// is not earlier, and now() stays at the last task's time.
+TEST(control_plane, runs_tasks_in_time_then_schedule_order)
 {
-    barrier_scheduler ctl;
+    shard_coordinator coord(2);
+    engine& ctl = coord.control_plane();
+    EXPECT_NE(&ctl, &coord.shard(0));
+
     std::vector<int> order;
     std::vector<std::int64_t> times;
     auto log = [&](int tag) {
@@ -104,31 +85,53 @@ TEST(barrier_scheduler, runs_tasks_in_time_then_schedule_order)
     ctl.schedule_at(sim_time{300}, log(3));
     ctl.schedule_at(sim_time{100}, log(1));
     ctl.schedule_at(sim_time{100}, log(2)); // same instant: schedule order
-    ctl.schedule_at(sim_time{900}, log(4));
+    ctl.schedule_at(sim_time{900}, log(5));
+    std::int64_t ctl_now_seen_by_shard = -1;
+    coord.shard(1).schedule_at(sim_time{500}, [&] {
+        order.push_back(4);
+        times.push_back(coord.shard(1).now().ns);
+        ctl_now_seen_by_shard = ctl.now().ns;
+    });
 
     sim_time at;
-    ASSERT_TRUE(ctl.peek(at));
+    ASSERT_TRUE(ctl.next_event_at(at));
     EXPECT_EQ(at.ns, 100);
-    // Only tasks at <= limit run; now() is pinned to each task's time.
-    EXPECT_EQ(ctl.run_due(sim_time{300}), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(times, (std::vector<std::int64_t>{100, 100, 300}));
-    EXPECT_FALSE(ctl.empty());
-    EXPECT_EQ(ctl.run_due(sim_time{1000}), 1u);
+    EXPECT_EQ(coord.run(), 5u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(times, (std::vector<std::int64_t>{100, 100, 300, 500, 900}));
+    // The drain before the shard event stopped at the last task's time,
+    // not at its limit (the shard event's 500).
+    EXPECT_EQ(ctl_now_seen_by_shard, 300);
+    EXPECT_EQ(ctl.now().ns, 900);
     EXPECT_TRUE(ctl.empty());
+    // Control tasks are not shard events.
+    EXPECT_EQ(coord.executed(), 1u);
 }
 
-TEST(barrier_scheduler, cancellation_is_generation_checked)
+TEST(control_plane, cancellation_is_generation_checked)
 {
-    barrier_scheduler ctl;
+    shard_coordinator coord(2);
+    engine& ctl = coord.control_plane();
     bool fired = false;
     auto h = ctl.schedule_cancellable_in(sim_duration{100}, task_class::timer,
                                          [&] { fired = true; });
+    const timer_handle copy = h;
     EXPECT_TRUE(ctl.cancel(h));
-    EXPECT_FALSE(ctl.cancel(h)); // stale
-    EXPECT_EQ(ctl.run_due(sim_time{1000}), 0u);
+    EXPECT_FALSE(ctl.cancel(h)); // deactivated
+    EXPECT_EQ(coord.run(), 0u);
     EXPECT_FALSE(fired);
     EXPECT_TRUE(ctl.empty());
+
+    // The reaped slot is reused; the old handle must not reach the new
+    // timer parked there.
+    bool fired2 = false;
+    auto h2 = ctl.schedule_cancellable_in(sim_duration{100}, task_class::timer,
+                                          [&] { fired2 = true; });
+    EXPECT_EQ(h2.slot, copy.slot);
+    timer_handle stale = copy;
+    EXPECT_FALSE(ctl.cancel(stale));
+    EXPECT_EQ(coord.run(), 1u);
+    EXPECT_TRUE(fired2);
 }
 
 // -------------------------------------------- epoch-boundary edge cases
@@ -212,8 +215,13 @@ TEST(shard_epochs, cut_lookahead_bounds_epochs)
 
 // --------------------------------------------------- drill determinism
 
+// Each shard count must reproduce itself byte for byte, and shards = 2
+// and 4 must also reproduce the shards = 1 run: the same report, and the
+// same metrics apart from the engine and coordinator counters.
 TEST(shard_determinism, chaos_identical_at_1_2_and_4_shards)
 {
+    std::string one_csv;
+    std::string one_metrics;
     for (unsigned shards : {1u, 2u, 4u}) {
         scenario::chaos_config cfg = scenario::kill_revive_config();
         cfg.shards = shards;
@@ -221,6 +229,14 @@ TEST(shard_determinism, chaos_identical_at_1_2_and_4_shards)
         const auto b = scenario::run_chaos_drill(cfg);
         EXPECT_EQ(a.csv, b.csv) << "shards=" << shards;
         EXPECT_EQ(a.metrics_csv, b.metrics_csv) << "shards=" << shards;
+        if (shards == 1) {
+            one_csv = a.csv;
+            one_metrics = shard_independent_rows(a.metrics_csv);
+        } else {
+            EXPECT_EQ(a.csv, one_csv) << "shards=" << shards << " vs 1";
+            EXPECT_EQ(shard_independent_rows(a.metrics_csv), one_metrics)
+                << "shards=" << shards << " vs 1";
+        }
         // Sharding must not change what the drill proves, only where it
         // runs: the full kill-and-revive story stays green.
         EXPECT_TRUE(a.recovered) << "shards=" << shards;
@@ -231,6 +247,8 @@ TEST(shard_determinism, chaos_identical_at_1_2_and_4_shards)
 
 TEST(shard_determinism, soak_identical_at_1_2_and_4_shards)
 {
+    std::string one_csv;
+    std::string one_metrics;
     for (unsigned shards : {1u, 2u, 4u}) {
         scenario::soak_config cfg = scenario::soak_smoke_config();
         cfg.shards = shards;
@@ -238,6 +256,14 @@ TEST(shard_determinism, soak_identical_at_1_2_and_4_shards)
         const auto b = scenario::run_soak_drill(cfg);
         EXPECT_EQ(a.csv, b.csv) << "shards=" << shards;
         EXPECT_EQ(a.metrics_csv, b.metrics_csv) << "shards=" << shards;
+        if (shards == 1) {
+            one_csv = a.csv;
+            one_metrics = shard_independent_rows(a.metrics_csv);
+        } else {
+            EXPECT_EQ(a.csv, one_csv) << "shards=" << shards << " vs 1";
+            EXPECT_EQ(shard_independent_rows(a.metrics_csv), one_metrics)
+                << "shards=" << shards << " vs 1";
+        }
         EXPECT_TRUE(a.all_delivered) << "shards=" << shards;
         EXPECT_TRUE(a.all_experiments_complete) << "shards=" << shards;
     }

@@ -286,7 +286,7 @@ TEST(engine_cancel, self_cancel_inside_callback_is_noop)
 {
     engine e;
     int fired = 0;
-    engine::timer_handle h;
+    timer_handle h;
     h = e.schedule_cancellable_in(sim_duration{1000}, task_class::timer, [&] {
         fired++;
         EXPECT_FALSE(e.cancel(h)); // mid-fire: nothing to drop
@@ -322,7 +322,7 @@ TEST(engine_cancel, supersede_chain_reuses_slots)
 {
     engine e;
     int fired = 0;
-    engine::timer_handle pending{};
+    timer_handle pending{};
     for (int i = 0; i < 1000; ++i) {
         e.cancel(pending);
         pending = e.schedule_cancellable_in(sim_duration{10000 + i},
