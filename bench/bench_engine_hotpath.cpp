@@ -19,23 +19,10 @@
 //      instant, one arrival event per burst), each bare and with a flight
 //      recorder installed, to price the tracing hooks on the hot path
 //      (still zero allocations).
-//   5. "shard scaling": the facility-soak shape — five sensor sites
-//      feeding a DTN relay, a switch hop and a WAN span to the receiver
-//      — as pure store-and-forward relays, partitioned one pipeline
-//      stage per domain and run at --shards 1/2/4. The host may have
-//      fewer free cores than shards, so the row that matters is
-//      *critical-path* event throughput: executed events over the sum of
-//      each epoch's slowest shard (the bound a parallel run converges
-//      to), timed in thread CPU seconds so a descheduled worker does not
-//      count as a slow shard (shard_coordinator::scaling()). Wall-clock
-//      throughput and its speedup are reported alongside but never gated.
 //
 // Flags: --burst=N sets the headline burst size; --check exits nonzero
 // when any forward variant allocates on the steady-state path (the CI
-// perf-smoke invariant — allocation-freedom, not wall-clock), or when
-// 4-shard critical-path throughput falls under 1.8x the single-shard
-// run (a partition-balance invariant: both sides of the ratio are CPU
-// time on the same machine in the same run, so runner load cancels).
+// perf-smoke invariant — allocation-freedom, not wall-clock).
 //
 // Emits machine-readable JSON to BENCH_engine.json (and stdout) so the
 // perf trajectory is tracked across PRs. The `baseline` block holds the
@@ -52,7 +39,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <new>
 #include <optional>
 
@@ -84,13 +70,6 @@ namespace {
 using namespace mmtp;
 using namespace mmtp::netsim;
 using namespace mmtp::literals;
-
-double thread_cpu_seconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0)
 {
@@ -313,114 +292,6 @@ forward_result run_forward(bool traced, unsigned burst)
             static_cast<double>(allocs) / static_cast<double>(delivered), allocs};
 }
 
-// ----------------------------------------------------------- shard scaling
-
-struct shard_scaling_result {
-    unsigned shards;
-    std::uint64_t events;
-    double wall_seconds;
-    double critical_path_cpu_seconds;
-    double serial_cpu_seconds;
-    double events_per_sec_wall;
-    double events_per_sec_critical_path;
-    std::uint64_t epochs;
-    std::uint64_t cross_shard_messages;
-};
-
-/// Per-sensor traffic source: lives on its sensor's engine and draws ids
-/// from its shard's disjoint range, so the same chain runs unchanged at
-/// any shard count.
-struct shard_injector {
-    engine* eng;
-    packet_id_source* ids;
-    node* src;
-    std::uint64_t left;
-    sim_duration period;
-    std::vector<std::uint8_t> header_template;
-
-    void fire()
-    {
-        packet p;
-        p.id = ids->next();
-        p.headers = header_template;
-        p.virtual_payload = 800;
-        p.created = eng->now();
-        src->egress(0).send(std::move(p));
-        if (--left > 0) eng->schedule_in(period, [this] { fire(); });
-    }
-};
-
-/// The soak drill's shape as pure simulator hot path: five sensors →
-/// shared DTN relay → switch → WAN → receiver, one pipeline stage per
-/// domain (switch 0, DTN 1, receiver 2, sensors 3). The 10 µs
-/// inter-stage propagation is the conservative lookahead, so each epoch
-/// carries a real batch of events and the barrier cost amortizes the
-/// way it would across genuine site/WAN latencies.
-shard_scaling_result run_shard_forward(unsigned shards)
-{
-    constexpr unsigned sensors = 5;
-    constexpr std::uint64_t packets_per_sensor = 100000;
-    constexpr std::int64_t inject_period_ns = 500; // 10 pkt/us aggregate
-
-    network net(42, shards);
-    auto& sw = net.emplace<relay>("switch");
-    net.set_domain(1);
-    auto& dtn = net.emplace<relay>("dtn");
-    net.set_domain(2);
-    auto& rx = net.emplace<counter_sink>("rx");
-    net.set_domain(3);
-    std::vector<relay*> site;
-    for (unsigned i = 0; i < sensors; ++i)
-        site.push_back(&net.emplace<relay>("sensor" + std::to_string(i)));
-
-    link_config stage;
-    stage.rate = data_rate::from_gbps(100);
-    stage.propagation = 10_us; // = the epoch lookahead
-    for (auto* s : site) net.connect_simplex(*s, dtn, stage);
-    net.connect_simplex(dtn, sw, stage);
-    net.connect_simplex(sw, rx, stage);
-
-    std::vector<shard_injector> inj(sensors);
-    for (unsigned i = 0; i < sensors; ++i) {
-        inj[i].eng = &net.engine_for(3);
-        inj[i].ids = &net.ids_for(3);
-        inj[i].src = site[i];
-        inj[i].left = packets_per_sensor;
-        inj[i].period = sim_duration{inject_period_ns};
-        inj[i].header_template.resize(64);
-        for (std::size_t b = 0; b < 64; ++b)
-            inj[i].header_template[b] = static_cast<std::uint8_t>(b * 7 + 1);
-        // Offset starts so the five chains interleave instead of firing
-        // in one same-instant burst.
-        inj[i].eng->schedule_in(sim_duration{inject_period_ns / sensors * (i + 1)},
-                                [p = &inj[i]] { p->fire(); });
-    }
-
-    auto& coord = net.coordinator();
-    const auto t0 = std::chrono::steady_clock::now();
-    const double cpu0 = thread_cpu_seconds();
-    const std::uint64_t executed = coord.run();
-    const double cpu = thread_cpu_seconds() - cpu0;
-    const double wall = seconds_since(t0);
-
-    double critical = coord.scaling().critical_path_cpu_seconds;
-    double serial = coord.scaling().serial_cpu_seconds;
-    if (shards == 1) {
-        // Single shard short-circuits to engine::run() on this thread:
-        // its CPU time is both the serial and the critical path.
-        critical = serial = cpu;
-    }
-    return {shards,
-            executed,
-            wall,
-            critical,
-            serial,
-            static_cast<double>(executed) / wall,
-            static_cast<double>(executed) / critical,
-            coord.scaling().epochs,
-            coord.scaling().cross_shard_messages};
-}
-
 } // namespace
 
 // Pre-change engine numbers, recorded by running this exact benchmark
@@ -458,44 +329,6 @@ int main(int argc, char** argv)
     const double burst1_trace_overhead_pct =
         100.0 * (1.0 - fwd1_traced.events_per_sec / fwd1.events_per_sec);
 
-    const shard_scaling_result sh[] = {run_shard_forward(1), run_shard_forward(2),
-                                       run_shard_forward(4)};
-    // Critical-path speedup over the single-shard run — the acceptance
-    // headline (>= 1.8x at 4 shards on this soak-shaped pipeline) — and
-    // the wall-clock speedup printed beside it.
-    const auto speedup_of = [&](const shard_scaling_result& r) {
-        return r.events_per_sec_critical_path / sh[0].events_per_sec_critical_path;
-    };
-    const auto wall_speedup_of = [&](const shard_scaling_result& r) {
-        return r.events_per_sec_wall / sh[0].events_per_sec_wall;
-    };
-
-    char shard_rows[2048];
-    std::size_t off = 0;
-    for (const auto& r : sh) {
-        off += static_cast<std::size_t>(std::snprintf(
-            shard_rows + off, sizeof shard_rows - off,
-            "    {\n"
-            "      \"shards\": %u,\n"
-            "      \"events\": %llu,\n"
-            "      \"events_per_sec_wall\": %.0f,\n"
-            "      \"events_per_sec_critical_path\": %.0f,\n"
-            "      \"critical_path_cpu_seconds\": %.4f,\n"
-            "      \"serial_cpu_seconds\": %.4f,\n"
-            "      \"critical_path_speedup\": %.2f,\n"
-            "      \"wall_speedup\": %.2f,\n"
-            "      \"epochs\": %llu,\n"
-            "      \"cross_shard_messages\": %llu\n"
-            "    }%s\n",
-            r.shards, static_cast<unsigned long long>(r.events),
-            r.events_per_sec_wall, r.events_per_sec_critical_path,
-            r.critical_path_cpu_seconds, r.serial_cpu_seconds, speedup_of(r),
-            wall_speedup_of(r),
-            static_cast<unsigned long long>(r.epochs),
-            static_cast<unsigned long long>(r.cross_shard_messages),
-            &r == &sh[2] ? "" : ","));
-    }
-
     char buf[8192];
     std::snprintf(
         buf, sizeof buf,
@@ -528,10 +361,7 @@ int main(int argc, char** argv)
         "    \"burst1_forward_packets_per_sec\": %.0f,\n"
         "    \"burst1_forward_allocs_per_packet\": %.4f,\n"
         "    \"burst1_trace_overhead_pct\": %.1f\n"
-        "  },\n"
-        "  \"shard_scaling\": [\n"
-        "%s"
-        "  ]\n"
+        "  }\n"
         "}\n",
         baseline_churn_events_per_sec, baseline_forward_events_per_sec,
         baseline_forward_packets_per_sec, baseline_allocs_per_packet,
@@ -542,8 +372,7 @@ int main(int argc, char** argv)
         static_cast<unsigned long long>(fwd.events), fwd.events_per_sec,
         fwd.packets_per_sec, fwd.allocs_per_packet, fwd_traced.events_per_sec,
         fwd_traced.allocs_per_packet, trace_overhead_pct, fwd1.events_per_sec,
-        fwd1.packets_per_sec, fwd1.allocs_per_packet, burst1_trace_overhead_pct,
-        shard_rows);
+        fwd1.packets_per_sec, fwd1.allocs_per_packet, burst1_trace_overhead_pct);
 
     std::fputs(buf, stdout);
     if (std::FILE* f = std::fopen("BENCH_engine.json", "w")) {
@@ -564,19 +393,7 @@ int main(int argc, char** argv)
                          static_cast<unsigned long long>(fwd1_traced.raw_allocs));
             return 1;
         }
-        if (speedup_of(sh[2]) < 1.8) {
-            std::fprintf(stderr,
-                         "CHECK FAILED: 4-shard critical-path speedup (thread CPU) "
-                         "%.2fx < 1.8x (1 shard: %.0f ev/s, 4 shards: %.0f ev/s); "
-                         "wall-clock speedup %.2fx\n",
-                         speedup_of(sh[2]), sh[0].events_per_sec_critical_path,
-                         sh[2].events_per_sec_critical_path, wall_speedup_of(sh[2]));
-            return 1;
-        }
-        std::printf("check passed: forward_allocs_per_packet == 0 in all variants, "
-                    "4-shard critical-path speedup (thread CPU) %.2fx >= 1.8x; "
-                    "wall-clock speedup %.2fx\n",
-                    speedup_of(sh[2]), wall_speedup_of(sh[2]));
+        std::printf("check passed: forward_allocs_per_packet == 0 in all variants\n");
     }
     return 0;
 }

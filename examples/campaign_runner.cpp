@@ -8,10 +8,12 @@
 //   $ ./campaign_runner --list                    (topology names)
 //
 // Every scenario is re-run across burst {1,32} × policy {closed_loop,
-// static} × trace {on,off} × persist {on,off} (axes the topology does
-// not support are collapsed), and each cell must end whole (unless the
-// file declares lossy), deliver zero duplicates, reconcile per-link
-// stats, and reproduce byte-identical telemetry on a same-seed rerun.
+// static} × trace {on,off} × persist {on,off} × shards {1,2} (axes the
+// topology does not support are collapsed), and each cell must end
+// whole (unless the file declares lossy), deliver zero duplicates,
+// reconcile per-link stats, and reproduce byte-identical telemetry: on
+// a same-seed rerun at shards = 1, and against the shards = 1 run
+// (engine_* and shard_* rows aside) at more shards.
 // Exit status is the number of failed scenarios (0 = campaign green).
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"

@@ -59,6 +59,9 @@ public:
     T& at(std::size_t i) noexcept { return *slot((head_ + i) & (cap_ - 1)); }
     const T& at(std::size_t i) const noexcept { return *slot((head_ + i) & (cap_ - 1)); }
 
+    T& back() noexcept { return at(size_ - 1); }
+    const T& back() const noexcept { return at(size_ - 1); }
+
     void push_back(T&& v)
     {
         if (size_ == cap_) grow();
@@ -92,6 +95,29 @@ public:
         out = std::move(*p);
         p->~T();
         head_ = (head_ + 1) & (cap_ - 1);
+        --size_;
+    }
+
+    /// Inserts `v` as element `i` (i <= size()), moving the elements
+    /// from `i` on back by one: O(size() - i).
+    void insert(std::size_t i, T&& v)
+    {
+        push_back(std::move(v));
+        for (std::size_t j = size_ - 1; j > i; --j) std::swap(at(j), at(j - 1));
+    }
+
+    /// Removes element `i`: O(1) at the front, else the elements behind
+    /// it move forward by one. Undefined when i >= size().
+    void erase(std::size_t i)
+    {
+        if (i == 0) {
+            slot(head_)->~T();
+            head_ = (head_ + 1) & (cap_ - 1);
+            --size_;
+            return;
+        }
+        for (std::size_t j = i; j + 1 < size_; ++j) at(j) = std::move(at(j + 1));
+        back().~T();
         --size_;
     }
 

@@ -183,11 +183,11 @@ private:
 // --- global installation -----------------------------------------------
 //
 // Each simulation thread observes through at most one recorder at a
-// time. The pointer is thread_local: a single-threaded run behaves as
-// before (one process-wide recorder), while a sharded run gives every
-// shard worker its own recorder — emits stay lock-free and race-free,
-// and the coordinator merges per-shard rings deterministically after the
-// run (netsim::shard_coordinator::set_recorder). Components read the
+// time (the pointer is thread_local). A single-shard run has one
+// recorder; a sharded run can give every shard its own, which the
+// coordinator installs around that shard's part of each epoch and
+// merges deterministically after the run
+// (netsim::shard_coordinator::set_recorder). Components read the
 // installed pointer on every emit, so installation can happen after
 // wiring. scoped_recorder un-installs on destruction, keeping sequential
 // scenarios (tests, reruns) independent.

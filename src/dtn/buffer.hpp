@@ -6,15 +6,25 @@
 // the source (§5.3's generalization of X.25 hop-by-hop behaviour, "closer
 // to short-term publish-subscribe"). Entries age out by retention time
 // and total capacity, newest kept.
+//
+// Storage: one stream per (experiment, epoch), holding its live entries
+// in a ring sorted by sequence. Sequences are dense and rise, so a
+// lookup indexes `sequence - front` directly and falls back to a binary
+// search only across gaps; a store appends. Streams hold live entries
+// only — a sequence jump costs one slot, not the gap — and a stream is
+// dropped once empty. Eviction follows a FIFO of keys in store order;
+// a same-key store replaces the entry in place and leaves its old FIFO
+// slot behind, which evicts the replacement when it reaches the front.
 #pragma once
 
+#include "common/ring_buffer.hpp"
 #include "common/units.hpp"
 #include "wire/ids.hpp"
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace mmtp::dtn {
@@ -67,7 +77,7 @@ public:
     void sweep(sim_time now) { evict(now); }
 
     std::uint64_t bytes_used() const { return bytes_; }
-    std::size_t entries() const { return by_key_.size(); }
+    std::size_t entries() const { return entries_; }
     const buffer_stats& stats() const { return stats_; }
     const buffer_config& config() const { return cfg_; }
 
@@ -76,14 +86,22 @@ private:
         wire::experiment_id experiment;
         std::uint16_t epoch;
         std::uint64_t sequence;
-        auto operator<=>(const key&) const = default;
     };
+    /// One (experiment, epoch) stream's live entries, ascending sequence.
+    using stream = ring_buffer<buffered_datagram>;
+    using streams = std::map<std::pair<wire::experiment_id, std::uint16_t>, stream>;
 
+    /// Position of the first entry of `s` whose sequence is >= `sequence`.
+    static std::size_t lower_bound(const stream& s, std::uint64_t sequence);
+    /// The stream holding `k` and its position there; streams_.end()
+    /// when `k` is not stored.
+    std::pair<streams::iterator, std::size_t> find(const key& k);
     void evict(sim_time now);
 
     buffer_config cfg_;
-    std::map<key, buffered_datagram> by_key_;
-    std::deque<key> fifo_; // insertion order for eviction
+    streams streams_;       // dropped once empty
+    ring_buffer<key> fifo_; // store order, for eviction
+    std::size_t entries_{0};
     std::uint64_t bytes_{0};
     buffer_stats stats_;
 };

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <vector>
 
 namespace mmtp::netsim {
@@ -49,10 +48,9 @@ struct fault_stats {
 /// scheduler (they are owned by the network, as usual). Each fault event
 /// is scheduled on its *target's* scheduling domain (the link's or
 /// node's own engine), so scripts work unchanged under the shard
-/// coordinator; stats and hook registration are mutex-guarded because
-/// targets in different domains fire on different worker threads.
-/// Single-shard runs see the exact historical scheduling order — every
-/// target resolves to the one engine.
+/// coordinator; shards run in turn on one thread, so the shared stats
+/// and hook maps need no locking. Single-shard runs see the exact
+/// historical scheduling order — every target resolves to the one engine.
 class fault_scheduler {
 public:
     explicit fault_scheduler(engine& eng) : eng_(eng) {}
@@ -103,16 +101,15 @@ public:
     /// call from inside a firing hook; see the re-entrancy note above).
     void clear_hooks(node& n);
 
-    /// Counters are updated under the internal mutex as events fire;
-    /// read them once the run is over (scenario reporting does).
+    /// Counters are updated as events fire; read them once the run is
+    /// over (scenario reporting does).
     const fault_stats& stats() const { return stats_; }
 
 private:
     void dispatch_hooks(std::map<const node*, std::vector<std::function<void()>>>& hooks,
                         const node& n);
 
-    engine& eng_;   // build-time default domain (unused by targeted events)
-    std::mutex mu_; // guards stats_ and the hook maps across shard threads
+    engine& eng_; // build-time default domain (unused by targeted events)
     fault_stats stats_;
     std::map<const node*, std::vector<std::function<void()>>> blackout_hooks_;
     std::map<const node*, std::vector<std::function<void()>>> restore_hooks_;

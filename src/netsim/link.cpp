@@ -25,7 +25,6 @@ void link::set_cross_shard(shard_coordinator& coord, unsigned from, unsigned to)
     coord_ = &coord;
     shard_from_ = from;
     shard_to_ = to;
-    cfg_.burst = 1; // the burst pump is local-only; cuts use the classic path
 }
 
 void link::set_up(bool up)
@@ -309,6 +308,18 @@ void link::flush_arrivals()
     arr_open_ = nullptr;
     if (ab == nullptr) return;
     if (ab->n == 0) {
+        release_burst(ab);
+        return;
+    }
+    if (coord_ != nullptr) {
+        // Partition cut: the burst's packets go through the mailbox,
+        // each timed at the burst's first stamp like the local burst
+        // event, so the destination sees them at the same instant and in
+        // the same order as an unsharded run delivers them.
+        const sim_time at = ab->pkts[0].stamp;
+        for (unsigned i = 0; i < ab->n; ++i)
+            coord_->post_arrival(shard_from_, shard_to_, at, std::move(ab->pkts[i]), to_,
+                                 ingress_port_at_dst_);
         release_burst(ab);
         return;
     }

@@ -142,9 +142,9 @@ public:
 
     /// Marks this link as a partition cut: arrivals are staged into the
     /// coordinator's mailbox for shard `to` instead of being scheduled
-    /// locally. netsim::network calls this at connect time; it also
-    /// rejects zero-propagation cuts and forces burst=1 so the pump
-    /// never crosses shards.
+    /// locally (a burst's packets each at the burst's first stamp).
+    /// netsim::network calls this at connect time, after rejecting
+    /// zero-propagation cuts.
     void set_cross_shard(shard_coordinator& coord, unsigned from, unsigned to);
     bool cross_shard() const { return coord_ != nullptr; }
 

@@ -4,9 +4,6 @@
 #include "netsim/node.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <ctime>
 #include <limits>
 
 namespace mmtp::netsim {
@@ -20,20 +17,7 @@ shard_coordinator::shard_coordinator(unsigned shards)
     for (unsigned i = 0; i < shards; ++i) shards_.push_back(std::make_unique<engine>());
     mailboxes_.resize(static_cast<std::size_t>(shards) * shards);
     recorders_.assign(shards, nullptr);
-    tallies_.assign(shards, epoch_tally{});
-
-    // Threads buy wall-clock only with real cores; the epoch algorithm
-    // and its output are identical either way, so default them off on
-    // single-core hosts (and let MMTP_SHARD_THREADS force either mode —
-    // the TSan job forces 1 to exercise the rendezvous under contention).
-    threads_on_ = std::thread::hardware_concurrency() > 1;
-    if (const char* env = std::getenv("MMTP_SHARD_THREADS")) {
-        if (std::strcmp(env, "0") == 0) threads_on_ = false;
-        if (std::strcmp(env, "1") == 0) threads_on_ = true;
-    }
 }
-
-shard_coordinator::~shard_coordinator() { stop_workers(); }
 
 engine& shard_coordinator::control_plane()
 {
@@ -73,9 +57,9 @@ std::uint64_t shard_coordinator::deliver_mail()
         }
         if (staged_.empty()) continue;
         // Deterministic merge: arrival time, then source shard, then the
-        // source mailbox's own monotonic seq — thread interleaving can
-        // never reorder insertion, so the destination engine's sequence
-        // numbers (and everything downstream) are reproducible.
+        // source mailbox's own monotonic seq, so the destination engine's
+        // sequence numbers (and everything downstream) do not depend on
+        // the order the shards ran in.
         std::sort(staged_.begin(), staged_.end(), [](const mail& a, const mail& b) {
             if (a.at != b.at) return a.at < b.at;
             if (a.src != b.src) return a.src < b.src;
@@ -97,64 +81,22 @@ std::uint64_t shard_coordinator::deliver_mail()
     return delivered;
 }
 
-namespace {
-/// CPU time the calling thread has used. Unlike wall time it stops while
-/// the thread is descheduled, so per-shard epoch costs stay honest when
-/// worker threads outnumber free cores.
-double thread_cpu_seconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-} // namespace
-
-shard_coordinator::epoch_tally shard_coordinator::run_shard(unsigned i, sim_time until,
-                                                            double& cpu_mark)
-{
-    engine& e = *shards_[i];
-    const double wall0 = e.profile().wall_seconds;
-    const std::uint64_t n = e.run_until(until);
-    // One clock read per shard per epoch: the thread CPU clock is a
-    // system call, and a second read before run_until() showed up in
-    // end-to-end sharded runs.
-    const double cpu = thread_cpu_seconds();
-    const epoch_tally t{n, e.profile().wall_seconds - wall0, cpu - cpu_mark};
-    cpu_mark = cpu;
-    return t;
-}
-
 std::uint64_t shard_coordinator::run_epoch(sim_time until)
 {
-    const unsigned n = shard_count();
-    if (threads_on_) {
-        if (workers_.empty()) start_workers();
-        std::unique_lock<std::mutex> lk(mu_);
-        epoch_target_ = until;
-        done_count_ = 0;
-        epoch_gen_++;
-        cv_go_.notify_all();
-        cv_done_.wait(lk, [&] { return done_count_ == n; });
-    } else {
-        trace::flight_recorder* saved = trace::recorder();
-        double cpu_mark = thread_cpu_seconds();
-        for (unsigned i = 0; i < n; ++i) {
-            trace::install(recorders_[i]);
-            tallies_[i] = run_shard(i, until, cpu_mark);
-        }
-        trace::install(saved);
-    }
+    trace::flight_recorder* saved = trace::recorder();
     std::uint64_t executed = 0;
-    epoch_tally slowest{};
-    for (const epoch_tally& t : tallies_) {
-        executed += t.executed;
-        scaling_.serial_seconds += t.wall_seconds;
-        scaling_.serial_cpu_seconds += t.cpu_seconds;
-        if (t.wall_seconds > slowest.wall_seconds) slowest.wall_seconds = t.wall_seconds;
-        if (t.cpu_seconds > slowest.cpu_seconds) slowest.cpu_seconds = t.cpu_seconds;
+    double slowest = 0.0;
+    for (unsigned i = 0; i < shard_count(); ++i) {
+        engine& e = *shards_[i];
+        trace::install(recorders_[i]);
+        const double wall0 = e.profile().wall_seconds;
+        executed += e.run_until(until);
+        const double wall = e.profile().wall_seconds - wall0;
+        scaling_.serial_seconds += wall;
+        slowest = std::max(slowest, wall);
     }
-    scaling_.critical_path_seconds += slowest.wall_seconds;
-    scaling_.critical_path_cpu_seconds += slowest.cpu_seconds;
+    trace::install(saved);
+    scaling_.critical_path_seconds += slowest;
     return executed;
 }
 
@@ -209,52 +151,6 @@ std::uint64_t shard_coordinator::executed() const
     std::uint64_t n = 0;
     for (const auto& sh : shards_) n += sh->profile().executed;
     return n;
-}
-
-void shard_coordinator::start_workers()
-{
-    quit_ = false;
-    workers_.reserve(shard_count());
-    for (unsigned i = 0; i < shard_count(); ++i)
-        workers_.emplace_back([this, i] { worker_loop(i); });
-}
-
-void shard_coordinator::stop_workers()
-{
-    if (workers_.empty()) return;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        quit_ = true;
-        cv_go_.notify_all();
-    }
-    for (auto& w : workers_) w.join();
-    workers_.clear();
-}
-
-void shard_coordinator::worker_loop(unsigned i)
-{
-    std::uint64_t seen = 0;
-    // Measured from the previous epoch's end, so each epoch's CPU time
-    // also covers this worker's barrier hand-off.
-    double cpu_mark = thread_cpu_seconds();
-    for (;;) {
-        sim_time until;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            cv_go_.wait(lk, [&] { return quit_ || epoch_gen_ != seen; });
-            if (quit_) return;
-            seen = epoch_gen_;
-            until = epoch_target_;
-        }
-        // Thread-local recorder: this shard's emits land in its own ring.
-        trace::install(recorders_[i]);
-        const epoch_tally t = run_shard(i, until, cpu_mark);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            tallies_[i] = t;
-            if (++done_count_ == shard_count()) cv_done_.notify_one();
-        }
-    }
 }
 
 } // namespace mmtp::netsim

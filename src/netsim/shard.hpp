@@ -1,4 +1,4 @@
-// shard.hpp — conservative parallel simulation across per-domain engines.
+// shard.hpp — conservative simulation across per-domain engines.
 //
 // The simulation is partitioned by network domain (site LAN, WAN span,
 // remote facility): each domain gets its own single-threaded engine, and
@@ -10,8 +10,9 @@
 // Epoch algorithm (DESIGN.md §16):
 //   1. deliver cross-shard mail staged during the previous epoch
 //   2. T_min = earliest pending event across all shards
-//   3. every shard runs its events in [T_min, T_min + L) concurrently,
-//      where L = min propagation over cut links (the lookahead)
+//   3. every shard in turn runs its events in [T_min, T_min + L) on the
+//      calling thread, where L = min propagation over cut links (the
+//      lookahead)
 //   4. barrier; goto 1
 //
 // Safety: an event at time s >= T_min that transmits on a cut link
@@ -23,11 +24,11 @@
 // Determinism: each engine is internally deterministic; staged mail is
 // merged per destination in (arrival time, source shard, mailbox seq)
 // order before insertion, so engine sequence numbers — and with them the
-// whole run — are reproducible for a given seed and partition,
-// regardless of thread interleaving. With one shard there are no cut
-// links and no mail: run() degenerates to engine::run() on the same
-// code path, keeping single-shard telemetry byte-identical with the
-// pre-shard engine.
+// whole run — are reproducible for a given seed and partition, and
+// give the single-shard run's telemetry apart from per-shard counters.
+// With one shard there are no cut links and no mail: run() degenerates
+// to engine::run() on the same code path, keeping single-shard telemetry
+// byte-identical with the pre-shard engine.
 //
 // Cross-domain *observers* (a recovery tracker reading a planner in one
 // domain and a receiver in another) ride the barrier-synchronous control
@@ -40,11 +41,8 @@
 #include "netsim/engine.hpp"
 #include "netsim/packet.hpp"
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace mmtp::trace {
@@ -61,9 +59,8 @@ class node;
 class shard_coordinator {
 public:
     /// `shards` >= 1. With 1 shard the coordinator is a thin pass-through
-    /// around a single engine (no threads, no mailboxes, no barriers).
+    /// around a single engine (no mailboxes, no barriers).
     explicit shard_coordinator(unsigned shards);
-    ~shard_coordinator();
 
     shard_coordinator(const shard_coordinator&) = delete;
     shard_coordinator& operator=(const shard_coordinator&) = delete;
@@ -88,14 +85,14 @@ public:
     sim_duration lookahead() const { return lookahead_; }
 
     /// Stages a cross-shard link arrival: packet `p` reaches `dst` on
-    /// `ingress_port` at absolute time `at`. Called from `from`'s worker
-    /// thread during an epoch; delivered (sorted deterministically) at
-    /// the next barrier.
+    /// `ingress_port` at absolute time `at`. Called while shard `from`
+    /// runs its epoch; delivered (sorted deterministically) at the next
+    /// barrier.
     void post_arrival(unsigned from, unsigned to, sim_time at, packet&& p, node& dst,
                       unsigned ingress_port);
 
     /// Installs a per-shard flight recorder: shard `i`'s events emit into
-    /// `rec` (thread-local install around each epoch). Shard 0 defaults
+    /// `rec` (installed around its share of each epoch). Shard 0 defaults
     /// to whatever recorder the calling thread had installed at run().
     void set_recorder(unsigned i, trace::flight_recorder* rec);
 
@@ -103,23 +100,13 @@ public:
     /// total events executed across engines and control tasks.
     std::uint64_t run();
 
-    /// Force worker threads on/off for multi-shard runs. Default: threads
-    /// when the host has >1 hardware thread, or when MMTP_SHARD_THREADS=1;
-    /// the epoch algorithm and its results are identical either way.
-    void set_threading(bool on) { threads_on_ = on; }
-    bool threading() const { return threads_on_; }
-
-    /// Parallelism accounting for the shard-scaling bench: time of the
-    /// slowest shard per epoch, summed (the critical path a parallel run
-    /// is bounded by), versus the serial sum of all shards' dispatch
-    /// time. Each comes as wall time and as the shard thread's CPU time;
-    /// only the latter excludes time a worker spent descheduled.
+    /// Shard balance: wall time of the slowest shard per epoch, summed,
+    /// versus the sum of all shards' dispatch time. Their ratio is the
+    /// speedup a run with one core per shard could reach at best.
     /// Measurement-only — never byte-compared.
     struct scaling_profile {
         double critical_path_seconds{0.0};
         double serial_seconds{0.0};
-        double critical_path_cpu_seconds{0.0};
-        double serial_cpu_seconds{0.0};
         std::uint64_t epochs{0};
         std::uint64_t cross_shard_messages{0};
     };
@@ -143,22 +130,8 @@ private:
         std::uint64_t next_seq{0};
     };
 
-    /// One shard's share of an epoch: events run, the wall seconds its
-    /// run_until() took, and the CPU seconds its thread used since
-    /// `cpu_mark`, that thread's previous reading (run_shard() updates
-    /// it).
-    struct epoch_tally {
-        std::uint64_t executed{0};
-        double wall_seconds{0.0};
-        double cpu_seconds{0.0};
-    };
-
     std::uint64_t deliver_mail();
-    epoch_tally run_shard(unsigned i, sim_time until, double& cpu_mark);
-    std::uint64_t run_epoch(sim_time target);
-    void start_workers();
-    void stop_workers();
-    void worker_loop(unsigned i);
+    std::uint64_t run_epoch(sim_time until);
 
     std::vector<std::unique_ptr<engine>> shards_;
     std::vector<mailbox> mailboxes_; // [from * N + to]
@@ -168,21 +141,6 @@ private:
     sim_duration lookahead_{sim_duration::zero()}; // zero = unbounded epoch
     bool have_cut_{false};
     scaling_profile scaling_;
-
-    // Worker-thread rendezvous (multi-shard only). The mutex/cv pair
-    // also publishes mailbox writes between epochs: workers finish an
-    // epoch under the lock, the coordinator merges mail, then releases
-    // the next epoch — a full happens-before chain each round.
-    bool threads_on_{false};
-    std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable cv_go_;
-    std::condition_variable cv_done_;
-    std::uint64_t epoch_gen_{0};
-    sim_time epoch_target_{sim_time::zero()};
-    unsigned done_count_{0};
-    bool quit_{false};
-    std::vector<epoch_tally> tallies_; // [shard], written by its runner
 };
 
 } // namespace mmtp::netsim

@@ -3,6 +3,8 @@
 #include "netsim/link.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <sstream>
 
 namespace mmtp::scenario::campaign {
 
@@ -45,13 +47,6 @@ bool topology_sweeps_policy(const std::string& t)
 bool topology_sweeps_trace(const std::string& t)
 {
     return t == "chaos" || t == "overload" || t == "shapeshift";
-}
-
-bool topology_sweeps_shards(const std::string& t)
-{
-    // Only the partitioned topologies (multi-domain node placement) have
-    // anything to shard; everywhere else extra shards just idle.
-    return t == "chaos" || t == "soak";
 }
 
 bool spec_sweeps_persist(const scenario_spec& s)
@@ -102,7 +97,7 @@ std::vector<axes> matrix_for(const scenario_spec& spec, const options& opt)
         values(topology_sweeps_policy(spec.topology), base.closed_loop);
     const auto traces = values(topology_sweeps_trace(spec.topology), base.trace);
     const auto persists = values(spec_sweeps_persist(spec), base.persist);
-    const auto shard_counts = topology_sweeps_shards(spec.topology)
+    const auto shard_counts = spec.shardable()
         ? std::vector<std::uint32_t>{1, 2}
         : std::vector<std::uint32_t>{base.shards};
 
@@ -181,15 +176,17 @@ run_capture execute(const scenario_spec& spec)
     return cap;
 }
 
-} // namespace
-
-cell_result run_cell(const scenario_spec& spec, const axes& ax)
+/// Runs one cell and evaluates every invariant. `single`, when given,
+/// is the shards = 1 run of the same axes; a sharded cell without one
+/// runs it here. `first` receives this cell's own run.
+cell_result run_cell(const scenario_spec& spec, const axes& ax, const run_capture* single,
+                     run_capture& first)
 {
     cell_result cell;
     cell.ax = ax;
     const scenario_spec s = apply_axes(spec, ax);
 
-    const run_capture first = execute(s);
+    first = execute(s);
     cell.accepted = first.accepted;
 
     if (!spec.lossy && !first.accepted.whole)
@@ -203,15 +200,52 @@ cell_result run_cell(const scenario_spec& spec, const axes& ax)
                                 + std::to_string(first.accepted.duplicates));
     for (const auto& f : first.reconciliation_failures) cell.failures.push_back(f);
 
-    // Same-seed rerun: the telemetry bytes must match exactly.
-    const run_capture second = execute(s);
-    if (second.report_csv != first.report_csv)
-        cell.failures.push_back("report CSV differs between same-seed runs");
-    if (second.metrics_csv != first.metrics_csv)
-        cell.failures.push_back("metrics CSV differs between same-seed runs");
+    if (ax.shards == 1) {
+        // Same-seed rerun: the telemetry bytes must match exactly.
+        const run_capture second = execute(s);
+        if (second.report_csv != first.report_csv)
+            cell.failures.push_back("report CSV differs between same-seed runs");
+        if (second.metrics_csv != first.metrics_csv)
+            cell.failures.push_back("metrics CSV differs between same-seed runs");
+    } else {
+        // Shard-count equivalence: the shards = 1 run of the same axes
+        // must have produced the same telemetry.
+        run_capture own_single;
+        if (single == nullptr) {
+            axes one = ax;
+            one.shards = 1;
+            own_single = execute(apply_axes(spec, one));
+            single = &own_single;
+        }
+        const std::string vs = " at shards=" + std::to_string(ax.shards)
+            + " differs from shards=1";
+        if (single->report_csv != first.report_csv)
+            cell.failures.push_back("report CSV" + vs);
+        if (shard_independent_rows(single->metrics_csv)
+            != shard_independent_rows(first.metrics_csv))
+            cell.failures.push_back("metrics CSV (engine_/shard_ rows aside)" + vs);
+    }
 
     cell.passed = cell.failures.empty();
     return cell;
+}
+
+} // namespace
+
+std::string shard_independent_rows(const std::string& metrics_csv)
+{
+    std::istringstream in(metrics_csv);
+    std::string row;
+    std::string out;
+    while (std::getline(in, row))
+        if (!row.starts_with("engine_") && !row.starts_with("shard_")) out += row + '\n';
+    return out;
+}
+
+cell_result run_cell(const scenario_spec& spec, const axes& ax)
+{
+    run_capture capture;
+    return run_cell(spec, ax, nullptr, capture);
 }
 
 outcome run_scenario(const scenario_spec& spec, const options& opt)
@@ -220,8 +254,16 @@ outcome run_scenario(const scenario_spec& spec, const options& opt)
     out.name = spec.name.empty() ? spec.topology : spec.name;
     out.topology = spec.topology;
     out.passed = true;
+    // The matrix sweeps shards innermost, so a sharded cell's shards = 1
+    // counterpart is the last shards = 1 cell run.
+    std::optional<std::pair<axes, run_capture>> single;
     for (const axes& ax : matrix_for(spec, opt)) {
-        out.cells.push_back(run_cell(spec, ax));
+        axes one = ax;
+        one.shards = 1;
+        const bool reuse = single && single->first == one;
+        run_capture capture;
+        out.cells.push_back(run_cell(spec, ax, reuse ? &single->second : nullptr, capture));
+        if (ax.shards == 1) single.emplace(ax, std::move(capture));
         if (!out.cells.back().passed) out.passed = false;
     }
     return out;
@@ -332,7 +374,7 @@ scenario_spec generate(std::uint64_t seed)
     s.set_seed(r.range(1, 1u << 20));
     static const std::uint32_t bursts[] = {1, 2, 4, 8, 16, 32};
     s.set_link_burst(r.pick(bursts));
-    if (topology_sweeps_shards(s.topology)) {
+    if (s.shardable()) {
         static const std::uint32_t shard_counts[] = {1, 2, 3, 4};
         s.set_shards(r.pick(shard_counts));
     }

@@ -12,8 +12,11 @@
 //   no duplicates   ever, lossy or not
 //   reconciliation  per link: tx_packets + dropped_random == dequeued
 //                   (the serializer accounts for every packet it pulls)
-//   determinism     a same-seed rerun produces byte-identical report
-//                   and metrics-registry CSV
+//   determinism     at shards = 1, a same-seed rerun produces
+//                   byte-identical report and metrics-registry CSV;
+//                   above it, the cell reproduces the shards = 1 run of
+//                   the same axes (every metrics row but the engine_*
+//                   and shard_* counters, which depend on the count)
 //
 // generate(seed) deterministically produces a random scenario_spec
 // (own splitmix64 PRNG — no std distribution, so the sequence is
@@ -40,6 +43,7 @@ struct axes {
     std::uint32_t shards{1};
 
     std::string label() const;
+    bool operator==(const axes&) const = default;
 };
 
 struct cell_result {
@@ -75,12 +79,20 @@ std::vector<axes> matrix_for(const scenario_spec& spec, const options& opt);
 /// Applies one matrix point to a copy of the spec.
 scenario_spec apply_axes(const scenario_spec& spec, const axes& ax);
 
-/// Runs one cell (two same-seed executions for the determinism check)
-/// and evaluates every invariant.
+/// Runs one cell and evaluates every invariant: two same-seed
+/// executions at shards = 1; at more shards, one execution plus the
+/// shards = 1 run of the same axes it must equal.
 cell_result run_cell(const scenario_spec& spec, const axes& ax);
 
-/// Runs a scenario across its whole matrix.
+/// Runs a scenario across its whole matrix. A sharded cell is compared
+/// with the matrix's own shards = 1 cell where there is one, so that
+/// run is not repeated.
 outcome run_scenario(const scenario_spec& spec, const options& opt = {});
+
+/// A metrics CSV minus the rows that legitimately depend on the shard
+/// count: per-shard engine counters (`engine_*`) and coordinator
+/// counters (`shard_*`). Everything the simulated network did remains.
+std::string shard_independent_rows(const std::string& metrics_csv);
 
 /// Deterministically generates a random scenario: same seed, same spec,
 /// on every platform. The result always parses back through

@@ -627,23 +627,18 @@ void scenario_spec::set_link_burst(std::uint32_t b)
     soak.link_burst = b;
 }
 
+bool scenario_spec::shardable() const { return topology == "chaos" || topology == "soak"; }
+
 std::uint32_t scenario_spec::shards() const
 {
-    if (topology == "today") return today.today.shards;
     if (topology == "chaos") return chaos.shards;
-    if (topology == "overload") return overload.shards;
-    if (topology == "shapeshift") return shapeshift.shards;
     if (topology == "soak") return soak.shards;
-    return pilot.pilot.shards;
+    return 1;
 }
 
 void scenario_spec::set_shards(std::uint32_t n)
 {
-    pilot.pilot.shards = n;
-    today.today.shards = n;
     chaos.shards = n;
-    overload.shards = n;
-    shapeshift.shards = n;
     soak.shards = n;
 }
 
@@ -662,6 +657,7 @@ parse_outcome parse_scenario(const std::string& text)
     std::optional<std::uint64_t> staged_seed;
     std::optional<std::uint32_t> staged_burst;
     std::optional<std::uint32_t> staged_shards;
+    unsigned shards_line = 0;
 
     auto fail = [&](unsigned ln, std::string msg) {
         out.spec.reset();
@@ -773,6 +769,7 @@ parse_outcome parse_scenario(const std::string& text)
                                     + std::to_string(max_shards) + "], got '"
                                     + value + "'");
                 staged_shards = static_cast<std::uint32_t>(n);
+                shards_line = line_no;
             } else {
                 return fail(line_no, "unknown key '" + key + "' in [engine]");
             }
@@ -793,6 +790,10 @@ parse_outcome parse_scenario(const std::string& text)
 
     if (staged_seed) spec.set_seed(*staged_seed);
     if (staged_burst) spec.set_link_burst(*staged_burst);
+    if (staged_shards && *staged_shards > 1 && !spec.shardable())
+        return fail(shards_line, "shards must be 1 for topology '" + spec.topology
+                        + "': it puts every node in one domain, so it has nothing "
+                          "to shard");
     if (staged_shards) spec.set_shards(*staged_shards);
     out.spec = std::move(spec);
     return out;

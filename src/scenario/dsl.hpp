@@ -62,7 +62,13 @@ struct scenario_spec {
     /// The burst knob of the active topology config.
     std::uint32_t link_burst() const;
     void set_link_burst(std::uint32_t b);
-    /// The shard count of the active topology config ([engine] shards).
+    /// True for the partitioned topologies (chaos, soak), whose nodes
+    /// span several domains. The others put every node in domain 0 and
+    /// have no shard count.
+    bool shardable() const;
+    /// The shard count of the active topology config ([engine] shards);
+    /// always 1 where !shardable(). set_shards() sets the partitioned
+    /// topologies' counts.
     std::uint32_t shards() const;
     void set_shards(std::uint32_t n);
 };

@@ -6,7 +6,7 @@ std::unique_ptr<pilot_testbed> make_pilot(const pilot_config& cfg)
 {
     auto tb = std::make_unique<pilot_testbed>();
     tb->cfg = cfg;
-    tb->net = netsim::network(cfg.seed, cfg.shards);
+    tb->net = netsim::network(cfg.seed);
     auto& net = tb->net;
 
     // --- nodes (Fig. 4) ---

@@ -14,7 +14,7 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
 {
     auto tb = std::make_unique<shapeshift_testbed>();
     tb->cfg = cfg;
-    tb->net = netsim::network(cfg.seed, cfg.shards);
+    tb->net = netsim::network(cfg.seed);
     auto& net = tb->net;
     auto& eng = net.sim();
 

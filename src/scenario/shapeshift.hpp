@@ -76,9 +76,6 @@ struct shapeshift_config {
     std::size_t trace_capacity{1u << 17};
     /// Packets per burst on every span (1 = classic per-packet path).
     std::uint32_t link_burst{1};
-    /// Simulation shards (all nodes stay in domain 0 — the topology is
-    /// too tightly coupled to cut — so extra shards idle; 1 = classic).
-    std::uint32_t shards{1};
     /// Policy preset the engine runs. closed_loop (default) answers the
     /// burst with a runtime mode shift; static_preset pins epoch 0 and
     /// leans on NAK recovery alone — the campaign runner sweeps both.

@@ -34,9 +34,6 @@ struct today_config {
     std::uint64_t wan_queue_bytes{32ull * 1024 * 1024};
     /// Packets per burst on every span (1 = classic per-packet path).
     std::uint32_t link_burst{1};
-    /// Simulation shards (all nodes stay in domain 0 — the topology is
-    /// too tightly coupled to cut — so extra shards idle; 1 = classic).
-    std::uint32_t shards{1};
 };
 
 /// Pipes one TCP connection's delivered bytes into another (the
