@@ -1,6 +1,7 @@
 #include "scenario/campaign.hpp"
 
 #include "netsim/link.hpp"
+#include "scenario/registry.hpp"
 
 #include <algorithm>
 #include <optional>
@@ -39,37 +40,15 @@ struct rng {
     }
 };
 
-bool topology_sweeps_policy(const std::string& t)
-{
-    return t == "shapeshift" || t == "soak";
-}
-
-bool topology_sweeps_trace(const std::string& t)
-{
-    return t == "chaos" || t == "overload" || t == "shapeshift";
-}
-
-bool spec_sweeps_persist(const scenario_spec& s)
-{
-    // Only chaos has the persistence toggle, and a kill-and-revive
-    // script forces it on (make_chaos creates the store regardless).
-    return s.topology == "chaos" && s.chaos.revive_at.ns == 0;
-}
-
 /// The matrix point the spec itself encodes (collapsed-axis values).
-axes axes_of(const scenario_spec& s)
+axes axes_of(const registry::knobs& k)
 {
     axes ax;
-    ax.burst = s.link_burst();
-    if (s.topology == "shapeshift")
-        ax.closed_loop = s.shapeshift.policy == control::mode_preset::closed_loop;
-    else if (s.topology == "soak")
-        ax.closed_loop = s.soak.policy == control::mode_preset::closed_loop;
-    if (s.topology == "chaos") ax.trace = s.chaos.trace;
-    else if (s.topology == "overload") ax.trace = s.overload.trace;
-    else if (s.topology == "shapeshift") ax.trace = s.shapeshift.trace;
-    if (s.topology == "chaos") ax.persist = s.chaos.persist;
-    ax.shards = s.shards();
+    if (k.link_burst != nullptr) ax.burst = *k.link_burst;
+    if (k.policy != nullptr) ax.closed_loop = *k.policy == control::mode_preset::closed_loop;
+    if (k.trace != nullptr) ax.trace = *k.trace;
+    if (k.persist != nullptr) ax.persist = *k.persist;
+    if (k.shards != nullptr) ax.shards = *k.shards;
     return ax;
 }
 
@@ -86,20 +65,20 @@ std::string axes::label() const
 
 std::vector<axes> matrix_for(const scenario_spec& spec, const options& opt)
 {
-    const axes base = axes_of(spec);
+    scenario_spec copy = spec; // knobs point into a mutable spec
+    const registry::knobs k = registry::knobs_of(copy);
+    const axes base = axes_of(k);
     if (!opt.matrix) return {base};
 
     const std::uint32_t bursts[] = {1, opt.wide_burst};
     const auto values = [](bool sweep, bool fixed) {
         return sweep ? std::vector<bool>{true, false} : std::vector<bool>{fixed};
     };
-    const auto policies =
-        values(topology_sweeps_policy(spec.topology), base.closed_loop);
-    const auto traces = values(topology_sweeps_trace(spec.topology), base.trace);
-    const auto persists = values(spec_sweeps_persist(spec), base.persist);
-    const auto shard_counts = spec.shardable()
-        ? std::vector<std::uint32_t>{1, 2}
-        : std::vector<std::uint32_t>{base.shards};
+    const auto policies = values(k.policy != nullptr, base.closed_loop);
+    const auto traces = values(k.trace != nullptr, base.trace);
+    const auto persists = values(k.persist != nullptr, base.persist);
+    const auto shard_counts = k.shards != nullptr ? std::vector<std::uint32_t>{1, 2}
+                                                  : std::vector<std::uint32_t>{base.shards};
 
     std::vector<axes> out;
     for (std::uint32_t b : bursts)
@@ -122,15 +101,13 @@ scenario_spec apply_axes(const scenario_spec& spec, const axes& ax)
 {
     scenario_spec s = spec;
     s.set_link_burst(ax.burst);
-    const auto preset = ax.closed_loop ? control::mode_preset::closed_loop
-                                       : control::mode_preset::static_preset;
-    s.shapeshift.policy = preset;
-    s.soak.policy = preset;
-    s.chaos.trace = ax.trace;
-    s.overload.trace = ax.trace;
-    s.shapeshift.trace = ax.trace;
-    if (spec_sweeps_persist(spec)) s.chaos.persist = ax.persist;
     s.set_shards(ax.shards);
+    const registry::knobs k = registry::knobs_of(s);
+    if (k.policy != nullptr)
+        *k.policy = ax.closed_loop ? control::mode_preset::closed_loop
+                                   : control::mode_preset::static_preset;
+    if (k.trace != nullptr) *k.trace = ax.trace;
+    if (k.persist != nullptr) *k.persist = ax.persist;
     return s;
 }
 

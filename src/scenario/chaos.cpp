@@ -55,6 +55,22 @@ chaos_config kill_revive_config()
     return cfg;
 }
 
+void register_chaos_metrics(telemetry::metrics_registry& reg, chaos_testbed& tb)
+{
+    telemetry::register_engine_metrics(reg, tb.net.coordinator());
+    telemetry::register_link_metrics(reg, "wan-primary", *tb.wan_primary);
+    telemetry::register_link_metrics(reg, "wan-backup", *tb.wan_backup);
+    telemetry::register_link_metrics(reg, "buf1-feed", *tb.buf1_feed);
+    telemetry::register_planner_metrics(reg, tb.planner,
+                                        {"daq", "wan-primary", "wan-backup"});
+    telemetry::register_health_metrics(reg, *tb.health);
+    telemetry::register_stack_metrics(reg, "rx", *tb.rx_stack);
+    telemetry::register_sender_metrics(reg, "src", *tb.tx);
+    telemetry::register_receiver_metrics(reg, "rx", *tb.rx);
+    telemetry::register_buffer_metrics(reg, "buf1", *tb.buf1_svc);
+    telemetry::register_buffer_metrics(reg, "buf2", *tb.buf2_svc);
+}
+
 std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
 {
     auto tb = std::make_unique<chaos_testbed>();
@@ -232,18 +248,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
         });
 
     // --- metrics registry: every layer reports into one place ---
-    telemetry::register_engine_metrics(tb->metrics, net.coordinator());
-    telemetry::register_link_metrics(tb->metrics, "wan-primary", *tb->wan_primary);
-    telemetry::register_link_metrics(tb->metrics, "wan-backup", *tb->wan_backup);
-    telemetry::register_link_metrics(tb->metrics, "buf1-feed", *tb->buf1_feed);
-    telemetry::register_planner_metrics(tb->metrics, planner,
-                                        {"daq", "wan-primary", "wan-backup"});
-    telemetry::register_health_metrics(tb->metrics, *tb->health);
-    telemetry::register_stack_metrics(tb->metrics, "rx", *tb->rx_stack);
-    telemetry::register_sender_metrics(tb->metrics, "src", *tb->tx);
-    telemetry::register_receiver_metrics(tb->metrics, "rx", *tb->rx);
-    telemetry::register_buffer_metrics(tb->metrics, "buf1", *tb->buf1_svc);
-    telemetry::register_buffer_metrics(tb->metrics, "buf2", *tb->buf2_svc);
+    register_chaos_metrics(tb->metrics, *tb);
 
     // --- traffic, advert, flush ---
     daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,

@@ -201,6 +201,10 @@ struct chaos_testbed {
 /// (or use run_chaos_drill) to execute.
 std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg);
 
+/// Registers the drill's standard probes into `reg`. The testbed's own
+/// registry (result metrics_csv) and the driver's report() both use it.
+void register_chaos_metrics(telemetry::metrics_registry& reg, chaos_testbed& tb);
+
 struct chaos_result {
     core::receiver_stats rx;
     core::buffer_service_stats buf1;

@@ -30,6 +30,20 @@ int run_example(driver& d, driver* rerun)
     return 0;
 }
 
+driver::acceptance driver::sequenced(std::uint64_t expected,
+                                     const core::receiver_stats& rx,
+                                     std::uint64_t outstanding_gaps)
+{
+    acceptance a;
+    a.expected = expected;
+    a.delivered = rx.datagrams;
+    a.duplicates = rx.duplicates;
+    a.given_up = rx.given_up;
+    a.outstanding_gaps = outstanding_gaps;
+    a.whole = a.delivered == a.expected && a.given_up == 0 && a.outstanding_gaps == 0;
+    return a;
+}
+
 // --- pilot ---------------------------------------------------------------
 
 pilot_driver::pilot_driver() : pilot_driver(options{}) {}
@@ -91,6 +105,14 @@ telemetry::table pilot_driver::report(telemetry::metrics_registry& reg)
     return t;
 }
 
+driver::acceptance pilot_driver::accept()
+{
+    const auto& rx = *tb_->dtn2_rx;
+    return sequenced(records_driven_, rx.stats(), rx.outstanding_gaps());
+}
+
+netsim::network& pilot_driver::network() { return tb_->net; }
+
 // --- today ---------------------------------------------------------------
 
 today_driver::today_driver() : today_driver(options{}) {}
@@ -126,7 +148,20 @@ telemetry::table today_driver::report(telemetry::metrics_registry& reg)
     return t;
 }
 
-// --- chaos ---------------------------------------------------------------
+driver::acceptance today_driver::accept()
+{
+    // The status-quo pipeline has no sequencing: acceptance is byte
+    // accounting at the first UDP hop (and the scenario is lossy).
+    acceptance a;
+    a.expected = bytes_scheduled_;
+    a.delivered = tb_->dtn1_received_bytes;
+    a.whole = a.delivered == a.expected;
+    return a;
+}
+
+netsim::network& today_driver::network() { return tb_->net; }
+
+// --- the fault drills (drill_driver does the rest) ----------------------
 
 std::string chaos_driver::describe() const
 {
@@ -134,37 +169,6 @@ std::string chaos_driver::describe() const
         + std::to_string(cfg_.message_bytes) + " B, WAN + buffer fault at "
         + std::to_string(cfg_.fault_at.ns / 1000000) + " ms";
 }
-
-run_context chaos_driver::build()
-{
-    tb_ = make_chaos(cfg_);
-    return run_context(tb_->net);
-}
-
-const chaos_result& chaos_driver::result()
-{
-    if (!result_) result_ = summarize_chaos(*tb_);
-    return *result_;
-}
-
-telemetry::table chaos_driver::report(telemetry::metrics_registry& reg)
-{
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
-    telemetry::register_link_metrics(reg, "wan-primary", *tb_->wan_primary);
-    telemetry::register_link_metrics(reg, "wan-backup", *tb_->wan_backup);
-    telemetry::register_link_metrics(reg, "buf1-feed", *tb_->buf1_feed);
-    telemetry::register_planner_metrics(reg, tb_->planner,
-                                        {"daq", "wan-primary", "wan-backup"});
-    telemetry::register_health_metrics(reg, *tb_->health);
-    telemetry::register_stack_metrics(reg, "rx", *tb_->rx_stack);
-    telemetry::register_sender_metrics(reg, "src", *tb_->tx);
-    telemetry::register_receiver_metrics(reg, "rx", *tb_->rx);
-    telemetry::register_buffer_metrics(reg, "buf1", *tb_->buf1_svc);
-    telemetry::register_buffer_metrics(reg, "buf2", *tb_->buf2_svc);
-    return result().report;
-}
-
-// --- overload ------------------------------------------------------------
 
 std::string overload_driver::describe() const
 {
@@ -179,36 +183,6 @@ std::string overload_driver::describe() const
         + std::to_string(cfg_.wan_rate.bits_per_sec / 1000000000) + " Gbps WAN";
 }
 
-run_context overload_driver::build()
-{
-    tb_ = make_overload(cfg_);
-    return run_context(tb_->net);
-}
-
-const overload_result& overload_driver::result()
-{
-    if (!result_) result_ = summarize_overload(*tb_);
-    return *result_;
-}
-
-telemetry::table overload_driver::report(telemetry::metrics_registry& reg)
-{
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
-    telemetry::register_link_metrics(reg, "wan", *tb_->wan);
-    telemetry::register_priority_queue_metrics(reg, "wan", *tb_->wan_queue);
-    telemetry::register_planner_metrics(reg, tb_->planner,
-                                        {"daq", "wan", "dtn-storage"});
-    telemetry::register_element_metrics(reg, "tofino", *tb_->tofino);
-    telemetry::register_stack_metrics(reg, "src", *tb_->src_stack);
-    telemetry::register_stack_metrics(reg, "rx", *tb_->rx_stack);
-    telemetry::register_sender_metrics(reg, "src", *tb_->tx);
-    telemetry::register_receiver_metrics(reg, "rx", *tb_->rx);
-    telemetry::register_buffer_metrics(reg, "buf", *tb_->buf_svc);
-    return result().report;
-}
-
-// --- soak ----------------------------------------------------------------
-
 std::string soak_driver::describe() const
 {
     const std::uint64_t total = static_cast<std::uint64_t>(soak_experiments)
@@ -219,79 +193,12 @@ std::string soak_driver::describe() const
         + std::to_string(total) + " total) under a fault-and-overload storm";
 }
 
-run_context soak_driver::build()
-{
-    tb_ = make_soak(cfg_);
-    return run_context(tb_->net);
-}
-
-const soak_result& soak_driver::result()
-{
-    if (!result_) result_ = summarize_soak(*tb_);
-    return *result_;
-}
-
-telemetry::table soak_driver::report(telemetry::metrics_registry& reg)
-{
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
-    telemetry::register_link_metrics(reg, "wan-primary", *tb_->wan_primary);
-    telemetry::register_link_metrics(reg, "wan-backup", *tb_->wan_backup);
-    telemetry::register_link_metrics(reg, "dtn2-feed", *tb_->dtn2_feed);
-    telemetry::register_planner_metrics(reg, tb_->planner,
-                                        {"daq", "wan-primary", "wan-backup"});
-    telemetry::register_health_metrics(reg, *tb_->health);
-    telemetry::register_element_metrics(reg, "tofino", *tb_->tofino);
-    telemetry::register_stack_metrics(reg, "dtn1", *tb_->dtn1_stack);
-    telemetry::register_stack_metrics(reg, "rx", *tb_->rx_stack);
-    telemetry::register_receiver_metrics(reg, "rx", *tb_->rx);
-    telemetry::register_buffer_metrics(reg, "dtn1", *tb_->dtn1_svc);
-    telemetry::register_buffer_metrics(reg, "dtn2", *tb_->dtn2_svc);
-    static const char* const engine_names[soak_experiments] = {"cms", "dune",
-                                                               "ecce", "mu2e",
-                                                               "rubin"};
-    for (std::size_t i = 0; i < soak_experiments; ++i) {
-        telemetry::register_policy_engine_metrics(reg, engine_names[i],
-                                                  *tb_->engines[i]);
-        telemetry::register_sender_metrics(reg, engine_names[i],
-                                           *tb_->senders[i]);
-    }
-    return result().report;
-}
-
-// --- shapeshift ----------------------------------------------------------
-
 std::string shapeshift_driver::describe() const
 {
     return "shapeshift drill: " + std::to_string(cfg_.messages) + " messages of "
         + std::to_string(cfg_.message_bytes) + " B, WAN corruption burst at "
         + std::to_string(cfg_.burst_at.ns / 1000000) + " ms answered by a runtime "
         + "mode shift";
-}
-
-run_context shapeshift_driver::build()
-{
-    tb_ = make_shapeshift(cfg_);
-    return run_context(tb_->net);
-}
-
-const shapeshift_result& shapeshift_driver::result()
-{
-    if (!result_) result_ = summarize_shapeshift(*tb_);
-    return *result_;
-}
-
-telemetry::table shapeshift_driver::report(telemetry::metrics_registry& reg)
-{
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
-    telemetry::register_link_metrics(reg, "wan", *tb_->wan);
-    telemetry::register_policy_engine_metrics(reg, *tb_->policy_ctl);
-    telemetry::register_element_metrics(reg, "tofino", *tb_->tofino);
-    telemetry::register_stack_metrics(reg, "sensor", *tb_->sensor_stack);
-    telemetry::register_stack_metrics(reg, "rx", *tb_->rx_stack);
-    telemetry::register_sender_metrics(reg, "sensor", *tb_->tx);
-    telemetry::register_receiver_metrics(reg, "rx", *tb_->rx);
-    telemetry::register_buffer_metrics(reg, "dtn1", *tb_->dtn1_svc);
-    return result().report;
 }
 
 } // namespace mmtp::scenario

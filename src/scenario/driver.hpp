@@ -92,7 +92,30 @@ public:
     /// the headline report table. Requires run().
     virtual telemetry::table report(telemetry::metrics_registry& reg) = 0;
 
+    /// Generic acceptance numbers, post-run: what was offered, what
+    /// arrived, and the failure counters the campaign invariants gate
+    /// on. Wholeness semantics follow the drill's own summary.
+    struct acceptance {
+        std::uint64_t expected{0};
+        std::uint64_t delivered{0};
+        std::uint64_t duplicates{0};
+        std::uint64_t given_up{0};
+        std::uint64_t outstanding_gaps{0};
+        bool whole{false};
+    };
+    /// Requires run().
+    virtual acceptance accept() = 0;
+
+    /// The testbed's network, for structural invariants (per-link stats
+    /// reconciliation). Valid after build().
+    virtual netsim::network& network() = 0;
+
 protected:
+    /// Acceptance of a drill whose receiver sequences the stream: whole
+    /// means every offered message arrived, none given up, no gap left.
+    static acceptance sequenced(std::uint64_t expected, const core::receiver_stats& rx,
+                                std::uint64_t outstanding_gaps);
+
     run_context ctx_;
 };
 
@@ -119,15 +142,15 @@ public:
     std::string describe() const override;
     run_context build() override;
     telemetry::table report(telemetry::metrics_registry& reg) override;
+    acceptance accept() override;
+    netsim::network& network() override;
 
     pilot_testbed& testbed() { return *tb_; }
-    /// Records the ICEBERG source actually produced (valid after build()).
-    std::uint64_t records_driven() const { return records_driven_; }
 
 private:
     options opt_;
     std::unique_ptr<pilot_testbed> tb_;
-    std::uint64_t records_driven_{0};
+    std::uint64_t records_driven_{0}; // records the ICEBERG source produced
 };
 
 /// The status-quo pipeline of Fig. 2 (UDP ingest stage).
@@ -145,89 +168,99 @@ public:
     std::string describe() const override;
     run_context build() override;
     telemetry::table report(telemetry::metrics_registry& reg) override;
+    acceptance accept() override;
+    netsim::network& network() override;
 
     today_testbed& testbed() { return *tb_; }
-    /// UDP payload bytes scheduled at the sensor (valid after build()).
-    std::uint64_t bytes_scheduled() const { return bytes_scheduled_; }
 
 private:
     options opt_;
     std::unique_ptr<today_testbed> tb_;
-    std::uint64_t bytes_scheduled_{0};
+    std::uint64_t bytes_scheduled_{0}; // UDP payload bytes scheduled at the sensor
+};
+
+/// The four fault drills share one driver shape: make_X builds the
+/// testbed, summarize_X summarizes it once after the run, and
+/// register_X_metrics registers its probes (the same list the testbed's
+/// own registry holds). Each drill adds only its describe() banner.
+template <class Config, class Testbed, class Result,
+          std::unique_ptr<Testbed> (*make)(const Config&),
+          Result (*summarize)(Testbed&),
+          void (*register_metrics)(telemetry::metrics_registry&, Testbed&)>
+class drill_driver : public driver {
+public:
+    explicit drill_driver(Config cfg = {}) : cfg_(cfg) {}
+
+    run_context build() override
+    {
+        tb_ = make(cfg_);
+        return run_context(tb_->net);
+    }
+
+    telemetry::table report(telemetry::metrics_registry& reg) override
+    {
+        register_metrics(reg, *tb_);
+        return result().report;
+    }
+
+    acceptance accept() override
+    {
+        return sequenced(result().messages_sent, result().rx, tb_->rx->outstanding_gaps());
+    }
+
+    netsim::network& network() override { return tb_->net; }
+
+    Testbed& testbed() { return *tb_; }
+    /// Summarized once after run(); report() fills it.
+    const Result& result()
+    {
+        if (!result_) result_ = summarize(*tb_);
+        return *result_;
+    }
+
+protected:
+    Config cfg_;
+
+private:
+    std::unique_ptr<Testbed> tb_;
+    std::optional<Result> result_;
 };
 
 /// Coordinated WAN + buffer failure mid-transfer (chaos drill).
-class chaos_driver : public driver {
+class chaos_driver : public drill_driver<chaos_config, chaos_testbed, chaos_result,
+                                         make_chaos, summarize_chaos,
+                                         register_chaos_metrics> {
 public:
-    explicit chaos_driver(chaos_config cfg = {}) : cfg_(cfg) {}
-
+    using drill_driver::drill_driver;
     std::string describe() const override;
-    run_context build() override;
-    telemetry::table report(telemetry::metrics_registry& reg) override;
-
-    chaos_testbed& testbed() { return *tb_; }
-    /// Summarized once after run(); report() fills it.
-    const chaos_result& result();
-
-private:
-    chaos_config cfg_;
-    std::unique_ptr<chaos_testbed> tb_;
-    std::optional<chaos_result> result_;
 };
 
 /// 2× sustained offered load with every overload-control layer engaged.
-class overload_driver : public driver {
+class overload_driver
+    : public drill_driver<overload_config, overload_testbed, overload_result,
+                          make_overload, summarize_overload, register_overload_metrics> {
 public:
-    explicit overload_driver(overload_config cfg = {}) : cfg_(cfg) {}
-
+    using drill_driver::drill_driver;
     std::string describe() const override;
-    run_context build() override;
-    telemetry::table report(telemetry::metrics_registry& reg) override;
-
-    overload_testbed& testbed() { return *tb_; }
-    const overload_result& result();
-
-private:
-    overload_config cfg_;
-    std::unique_ptr<overload_testbed> tb_;
-    std::optional<overload_result> result_;
 };
 
 /// Facility-scale soak: five concurrent experiments over shared spans
 /// and DTNs under a fault-and-overload storm.
-class soak_driver : public driver {
+class soak_driver : public drill_driver<soak_config, soak_testbed, soak_result, make_soak,
+                                        summarize_soak, register_soak_metrics> {
 public:
-    explicit soak_driver(soak_config cfg = {}) : cfg_(cfg) {}
-
+    using drill_driver::drill_driver;
     std::string describe() const override;
-    run_context build() override;
-    telemetry::table report(telemetry::metrics_registry& reg) override;
-
-    soak_testbed& testbed() { return *tb_; }
-    const soak_result& result();
-
-private:
-    soak_config cfg_;
-    std::unique_ptr<soak_testbed> tb_;
-    std::optional<soak_result> result_;
 };
 
 /// Mid-run WAN degradation answered by a runtime mode shift.
-class shapeshift_driver : public driver {
+class shapeshift_driver
+    : public drill_driver<shapeshift_config, shapeshift_testbed, shapeshift_result,
+                          make_shapeshift, summarize_shapeshift,
+                          register_shapeshift_metrics> {
 public:
-    explicit shapeshift_driver(shapeshift_config cfg = {}) : cfg_(cfg) {}
-
+    using drill_driver::drill_driver;
     std::string describe() const override;
-    run_context build() override;
-    telemetry::table report(telemetry::metrics_registry& reg) override;
-
-    shapeshift_testbed& testbed() { return *tb_; }
-    const shapeshift_result& result();
-
-private:
-    shapeshift_config cfg_;
-    std::unique_ptr<shapeshift_testbed> tb_;
-    std::optional<shapeshift_result> result_;
 };
 
 } // namespace mmtp::scenario

@@ -3,6 +3,7 @@
 #include "netsim/link.hpp"
 #include "scenario/registry.hpp"
 
+#include <array>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -261,8 +262,10 @@ void bind_fraction(binding_table& t, const char* sec, const char* key, double* f
         [f] { return fmt_fraction(*f); });
 }
 
-void bind_duration(binding_table& t, const char* sec, const char* key,
-                   sim_duration* f, std::uint64_t min_ns = 0)
+/// Durations and instants: nanosecond counts written with a unit suffix.
+template <class T>
+void bind_ns(binding_table& t, const char* sec, const char* key, T* f,
+             std::uint64_t min_ns = 0)
 {
     t.add(
         sec, key,
@@ -272,20 +275,6 @@ void bind_duration(binding_table& t, const char* sec, const char* key,
             if (!parse_duration_ns(v, ns, err)) return err;
             if (ns < min_ns)
                 return "duration must be at least " + std::to_string(min_ns) + "ns";
-            f->ns = static_cast<std::int64_t>(ns);
-            return {};
-        },
-        [f] { return std::to_string(f->ns) + "ns"; });
-}
-
-void bind_time(binding_table& t, const char* sec, const char* key, sim_time* f)
-{
-    t.add(
-        sec, key,
-        [f](const std::string& v) -> std::string {
-            std::uint64_t ns = 0;
-            std::string err;
-            if (!parse_duration_ns(v, ns, err)) return err;
             f->ns = static_cast<std::int64_t>(ns);
             return {};
         },
@@ -398,248 +387,344 @@ void bind_experiment(binding_table& t, const char* key, std::size_t idx,
         });
 }
 
+// --- the topology table ---------------------------------------------------
+//
+// Each topology's keyspace, in the order render_scenario writes it.
+
+void bind_pilot(binding_table& t, scenario_spec& spec)
+{
+    auto& o = spec.pilot;
+    bind_count(t, "traffic", "records", &o.records, 1);
+    bind_count(t, "traffic", "frames_per_record", &o.frames_per_record, 1);
+    bind_rate(t, "links", "daq_rate", &o.pilot.daq_rate);
+    bind_rate(t, "links", "wan_rate", &o.pilot.wan_rate);
+    bind_ns(t, "links", "wan_delay", &o.pilot.wan_delay);
+    bind_fraction(t, "links", "wan_loss", &o.pilot.wan_loss);
+    bind_size(t, "links", "wan_queue", &o.pilot.wan_queue_bytes, 1);
+    bind_count(t, "policy", "deadline_us", &o.pilot.deadline_us);
+    bind_bool(t, "policy", "priority_queues", &o.pilot.priority_queues);
+    bind_bool(t, "policy", "notifications", &o.pilot.notifications);
+    bind_bool(t, "policy", "sequence_at_dtn", &o.pilot.sequence_at_dtn);
+}
+
+void bind_today(binding_table& t, scenario_spec& spec)
+{
+    auto& o = spec.today;
+    bind_count(t, "traffic", "messages", &o.messages, 1);
+    bind_count(t, "traffic", "message_bytes", &o.message_bytes, 1);
+    bind_ns(t, "traffic", "message_interval", &o.message_interval, 1);
+    bind_rate(t, "links", "daq_rate", &o.today.daq_rate);
+    bind_rate(t, "links", "wan_rate", &o.today.wan_rate);
+    bind_ns(t, "links", "wan_delay", &o.today.wan_delay);
+    bind_fraction(t, "links", "wan_loss", &o.today.wan_loss);
+    bind_rate(t, "links", "campus_rate", &o.today.campus_rate);
+    bind_ns(t, "links", "campus_delay", &o.today.campus_delay);
+    bind_size(t, "links", "wan_queue", &o.today.wan_queue_bytes, 1);
+    bind_bool(t, "policy", "tuned", &o.today.tuned);
+    bind_rate(t, "policy", "tcp_host_limit", &o.today.tcp_host_limit);
+}
+
+void bind_chaos(binding_table& t, scenario_spec& spec)
+{
+    auto& c = spec.chaos;
+    bind_count(t, "traffic", "messages", &c.messages, 1);
+    bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
+    bind_ns(t, "traffic", "message_interval", &c.message_interval, 1);
+    bind_ns(t, "traffic", "first_message", &c.first_message);
+    bind_count(t, "traffic", "messages2", &c.messages2);
+    bind_ns(t, "traffic", "second_wave_at", &c.second_wave_at);
+    bind_rate(t, "links", "wan_rate", &c.wan_rate);
+    bind_ns(t, "links", "wan_delay", &c.wan_delay);
+    bind_size(t, "links", "wan_queue", &c.wan_queue_bytes, 1);
+    bind_ns(t, "faults", "fault_at", &c.fault_at);
+    bind_ns(t, "faults", "feed_cut_after", &c.feed_cut_after);
+    bind_ns(t, "faults", "fault2_at", &c.fault2_at);
+    bind_ns(t, "faults", "revive_at", &c.revive_at);
+    bind_ns(t, "faults", "burst_at", &c.burst_at);
+    bind_ns(t, "faults", "burst_duration", &c.burst_duration);
+    bind_fraction(t, "faults", "burst_ber", &c.burst_ber);
+    bind_ns(t, "recovery", "nak_retry", &c.nak_retry, 1);
+    bind_ns(t, "recovery", "nak_retry_cap", &c.nak_retry_cap, 1);
+    bind_count(t, "recovery", "max_nak_attempts", &c.max_nak_attempts, 1);
+    bind_count(t, "recovery", "failover_attempts", &c.failover_attempts, 1);
+    bind_ns(t, "recovery", "probe_interval", &c.probe_interval, 1);
+    bind_ns(t, "recovery", "probe_deadline", &c.probe_deadline, 1);
+    bind_ns(t, "recovery", "flush_at", &c.flush_at);
+    bind_ns(t, "recovery", "flush2_at", &c.flush2_at);
+    bind_rate(t, "policy", "planned_rate", &c.planned_rate);
+    bind_bool(t, "persistence", "persist", &c.persist);
+    bind_count(t, "persistence", "chunk_records", &c.persist_chunk_records, 1);
+    bind_bool(t, "trace", "enabled", &c.trace);
+    bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
+    bind_bool(t, "trace", "record", &c.record);
+}
+
+void bind_overload(binding_table& t, scenario_spec& spec)
+{
+    auto& c = spec.overload;
+    bind_count(t, "traffic", "messages", &c.messages, 1);
+    bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
+    bind_ns(t, "traffic", "message_interval", &c.message_interval, 1);
+    bind_ns(t, "traffic", "first_message", &c.first_message);
+    bind_rate(t, "links", "wan_rate", &c.wan_rate);
+    bind_ns(t, "links", "wan_delay", &c.wan_delay);
+    bind_size(t, "links", "band_bytes", &c.band_bytes, 1);
+    bind_size(t, "overload", "bp_low", &c.bp_low_bytes, 1);
+    bind_size(t, "overload", "bp_high", &c.bp_high_bytes, 1);
+    bind_ns(t, "overload", "bp_min_interval", &c.bp_min_interval, 1);
+    bind_count(t, "overload", "bp_level_bands", &c.bp_level_bands, 1);
+    bind_rate(t, "overload", "pace", &c.pace);
+    bind_fraction(t, "overload", "min_pace_fraction", &c.min_pace_fraction);
+    bind_ns(t, "overload", "backpressure_hold", &c.backpressure_hold, 1);
+    bind_fraction(t, "overload", "recovery_step_fraction",
+                  &c.recovery_step_fraction);
+    bind_ns(t, "overload", "recovery_interval", &c.recovery_interval, 1);
+    bind_size(t, "overload", "buffer_capacity", &c.buffer_capacity_bytes, 1);
+    bind_ns(t, "overload", "buffer_retention", &c.buffer_retention, 1);
+    bind_rate(t, "overload", "retransmit_pace", &c.retransmit_pace);
+    bind_size(t, "overload", "occupancy_high", &c.occupancy_high_bytes, 1);
+    bind_size(t, "overload", "occupancy_low", &c.occupancy_low_bytes, 1);
+    bind_ns(t, "overload", "pressure_poll", &c.pressure_poll, 1);
+    bind_ns(t, "overload", "poll_until", &c.poll_until);
+    bind_ns(t, "overload", "second_flow_at", &c.second_flow_at);
+    bind_rate(t, "overload", "second_flow_rate", &c.second_flow_rate);
+    bind_ns(t, "recovery", "nak_retry", &c.nak_retry, 1);
+    bind_ns(t, "recovery", "nak_retry_cap", &c.nak_retry_cap, 1);
+    bind_count(t, "recovery", "max_nak_attempts", &c.max_nak_attempts, 1);
+    bind_ns(t, "recovery", "flush_check", &c.flush_check, 1);
+    bind_ns(t, "recovery", "probe_interval", &c.probe_interval, 1);
+    bind_ns(t, "recovery", "probe_deadline", &c.probe_deadline, 1);
+    bind_count(t, "policy", "deadline_us", &c.deadline_us);
+    bind_rate(t, "policy", "planned_rate", &c.planned_rate);
+    bind_bool(t, "trace", "enabled", &c.trace);
+    bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
+}
+
+void bind_shapeshift(binding_table& t, scenario_spec& spec)
+{
+    auto& c = spec.shapeshift;
+    bind_count(t, "traffic", "messages", &c.messages, 1);
+    bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
+    bind_ns(t, "traffic", "message_interval", &c.message_interval, 1);
+    bind_ns(t, "traffic", "first_message", &c.first_message);
+    bind_rate(t, "links", "wan_rate", &c.wan_rate);
+    bind_ns(t, "links", "wan_delay", &c.wan_delay);
+    bind_size(t, "links", "wan_queue", &c.wan_queue_bytes, 1);
+    bind_ns(t, "faults", "burst_at", &c.burst_at);
+    bind_ns(t, "faults", "burst_duration", &c.burst_duration);
+    bind_fraction(t, "faults", "burst_ber", &c.burst_ber);
+    bind_preset(t, "policy", "preset", &c.policy);
+    bind_ns(t, "policy", "poll_interval", &c.poll_interval, 1);
+    bind_ns(t, "policy", "poll_until", &c.poll_until);
+    bind_ns(t, "policy", "drain_window", &c.drain_window, 1);
+    bind_count(t, "policy", "loss_degrade_threshold",
+               &c.loss_degrade_threshold, 1);
+    bind_count(t, "policy", "restore_after_clean_polls",
+               &c.restore_after_clean_polls, 1);
+    bind_count(t, "policy", "deadline_us", &c.deadline_us);
+    bind_ns(t, "recovery", "flush_at", &c.flush_at);
+    bind_bool(t, "trace", "enabled", &c.trace);
+    bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
+}
+
+void bind_soak(binding_table& t, scenario_spec& spec)
+{
+    auto& c = spec.soak;
+    bind_count(t, "traffic", "slices_per_experiment",
+               &c.slices_per_experiment, 1);
+    bind_count(t, "traffic", "messages_per_stream", &c.messages_per_stream, 1);
+    bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
+    bind_ns(t, "traffic", "message_interval", &c.message_interval, 1);
+    bind_ns(t, "traffic", "first_message", &c.first_message);
+    bind_experiment(t, "cms", 0, &c);
+    bind_experiment(t, "dune", 1, &c);
+    bind_experiment(t, "ecce", 2, &c);
+    bind_experiment(t, "mu2e", 3, &c);
+    bind_experiment(t, "rubin", 4, &c);
+    bind_rate(t, "links", "wan_rate", &c.wan_rate);
+    bind_ns(t, "links", "wan_delay", &c.wan_delay);
+    bind_size(t, "links", "wan_queue", &c.wan_queue_bytes, 1);
+    bind_ns(t, "faults", "burst1_at", &c.burst1_at);
+    bind_ns(t, "faults", "burst1_duration", &c.burst1_duration);
+    bind_fraction(t, "faults", "burst1_ber", &c.burst1_ber);
+    bind_ns(t, "faults", "dtn2_down_at", &c.dtn2_down_at);
+    bind_ns(t, "faults", "dtn2_up_at", &c.dtn2_up_at);
+    bind_ns(t, "faults", "wan_down_at", &c.wan_down_at);
+    bind_ns(t, "faults", "wan_up_at", &c.wan_up_at);
+    bind_ns(t, "faults", "burst2_at", &c.burst2_at);
+    bind_ns(t, "faults", "burst2_duration", &c.burst2_duration);
+    bind_fraction(t, "faults", "burst2_ber", &c.burst2_ber);
+    bind_preset(t, "policy", "preset", &c.policy);
+    bind_ns(t, "policy", "poll_interval", &c.poll_interval, 1);
+    bind_ns(t, "policy", "drain_window", &c.drain_window, 1);
+    bind_count(t, "policy", "loss_degrade_threshold",
+               &c.loss_degrade_threshold, 1);
+    bind_count(t, "policy", "restore_after_clean_polls",
+               &c.restore_after_clean_polls, 1);
+    bind_size(t, "overload", "dtn1_capacity", &c.dtn1_capacity_bytes, 1);
+    bind_ns(t, "overload", "dtn1_retention", &c.dtn1_retention, 1);
+    bind_size(t, "overload", "occupancy_high", &c.occupancy_high_bytes, 1);
+    bind_size(t, "overload", "occupancy_low", &c.occupancy_low_bytes, 1);
+    bind_ns(t, "overload", "pressure_hold", &c.pressure_hold, 1);
+    bind_ns(t, "overload", "pressure_poll", &c.pressure_poll, 1);
+    bind_ns(t, "overload", "churn_interval", &c.churn_interval, 1);
+    bind_ns(t, "overload", "churn_hold", &c.churn_hold, 1);
+    bind_rate(t, "overload", "churn_rate", &c.churn_rate);
+    bind_ns(t, "overload", "churn_until", &c.churn_until);
+    bind_rate(t, "overload", "trunk_rate", &c.trunk_rate);
+    bind_count(t, "recovery", "max_nak_attempts", &c.max_nak_attempts, 1);
+    bind_count(t, "recovery", "failover_attempts", &c.failover_attempts, 1);
+    bind_ns(t, "recovery", "flush_at", &c.flush_at);
+    bind_ns(t, "recovery", "prune_from", &c.prune_from);
+    bind_ns(t, "recovery", "prune_interval", &c.prune_interval, 1);
+    bind_ns(t, "recovery", "prune_idle_after", &c.prune_idle_after, 1);
+    bind_ns(t, "recovery", "probe_interval", &c.probe_interval, 1);
+    bind_ns(t, "recovery", "end_at", &c.end_at);
+    bind_count(t, "persistence", "chunk_records", &c.persist_chunk_records, 1);
+}
+
+/// One row: a topology and everything generic code knows about it.
+struct topology {
+    const char* name;
+    std::unique_ptr<driver> (*make)(const scenario_spec&);
+    /// Adds the topology's [section] key = value bindings to the table.
+    void (*bind)(binding_table&, scenario_spec&);
+    registry::knobs (*knobs_of)(scenario_spec&);
+};
+
+template <class Driver, auto member>
+std::unique_ptr<driver> make_driver(const scenario_spec& s)
+{
+    return std::make_unique<Driver>(s.*member);
+}
+
+// Alphabetical, so names() needs no sort.
+constexpr std::array<topology, 6> topologies{{
+    {"chaos", make_driver<chaos_driver, &scenario_spec::chaos>, bind_chaos,
+     [](scenario_spec& s) {
+         auto& c = s.chaos;
+         // A kill-and-revive script forces persistence on (make_chaos
+         // builds the store regardless), so the axis is fixed then.
+         return registry::knobs{&c.seed,  &c.link_burst, &c.shards, nullptr,
+                                &c.trace, c.revive_at.ns == 0 ? &c.persist : nullptr};
+     }},
+    {"overload", make_driver<overload_driver, &scenario_spec::overload>, bind_overload,
+     [](scenario_spec& s) {
+         auto& c = s.overload;
+         return registry::knobs{&c.seed, &c.link_burst, nullptr, nullptr, &c.trace};
+     }},
+    {"pilot", make_driver<pilot_driver, &scenario_spec::pilot>, bind_pilot,
+     [](scenario_spec& s) {
+         auto& c = s.pilot.pilot;
+         return registry::knobs{&c.seed, &c.link_burst};
+     }},
+    {"shapeshift", make_driver<shapeshift_driver, &scenario_spec::shapeshift>,
+     bind_shapeshift,
+     [](scenario_spec& s) {
+         auto& c = s.shapeshift;
+         return registry::knobs{&c.seed, &c.link_burst, nullptr, &c.policy, &c.trace};
+     }},
+    {"soak", make_driver<soak_driver, &scenario_spec::soak>, bind_soak,
+     [](scenario_spec& s) {
+         auto& c = s.soak;
+         return registry::knobs{&c.seed, &c.link_burst, &c.shards, &c.policy};
+     }},
+    {"today", make_driver<today_driver, &scenario_spec::today>, bind_today,
+     [](scenario_spec& s) {
+         auto& c = s.today.today;
+         return registry::knobs{&c.seed, &c.link_burst};
+     }},
+}};
+
+/// The row named `name`, or nullptr.
+const topology* find(const std::string& name)
+{
+    for (const auto& row : topologies)
+        if (name == row.name) return &row;
+    return nullptr;
+}
+
 /// Builds the keyspace of spec's topology. The table holds raw pointers
 /// into `spec`, so it must not outlive it.
 binding_table build_bindings(scenario_spec& spec)
 {
     binding_table t;
-    if (spec.topology == "pilot") {
-        auto& o = spec.pilot;
-        bind_count(t, "traffic", "records", &o.records, 1);
-        bind_count(t, "traffic", "frames_per_record", &o.frames_per_record, 1);
-        bind_rate(t, "links", "daq_rate", &o.pilot.daq_rate);
-        bind_rate(t, "links", "wan_rate", &o.pilot.wan_rate);
-        bind_duration(t, "links", "wan_delay", &o.pilot.wan_delay);
-        bind_fraction(t, "links", "wan_loss", &o.pilot.wan_loss);
-        bind_size(t, "links", "wan_queue", &o.pilot.wan_queue_bytes, 1);
-        bind_count(t, "policy", "deadline_us", &o.pilot.deadline_us);
-        bind_bool(t, "policy", "priority_queues", &o.pilot.priority_queues);
-        bind_bool(t, "policy", "notifications", &o.pilot.notifications);
-        bind_bool(t, "policy", "sequence_at_dtn", &o.pilot.sequence_at_dtn);
-    } else if (spec.topology == "today") {
-        auto& o = spec.today;
-        bind_count(t, "traffic", "messages", &o.messages, 1);
-        bind_count(t, "traffic", "message_bytes", &o.message_bytes, 1);
-        bind_duration(t, "traffic", "message_interval", &o.message_interval, 1);
-        bind_rate(t, "links", "daq_rate", &o.today.daq_rate);
-        bind_rate(t, "links", "wan_rate", &o.today.wan_rate);
-        bind_duration(t, "links", "wan_delay", &o.today.wan_delay);
-        bind_fraction(t, "links", "wan_loss", &o.today.wan_loss);
-        bind_rate(t, "links", "campus_rate", &o.today.campus_rate);
-        bind_duration(t, "links", "campus_delay", &o.today.campus_delay);
-        bind_size(t, "links", "wan_queue", &o.today.wan_queue_bytes, 1);
-        bind_bool(t, "policy", "tuned", &o.today.tuned);
-        bind_rate(t, "policy", "tcp_host_limit", &o.today.tcp_host_limit);
-    } else if (spec.topology == "chaos") {
-        auto& c = spec.chaos;
-        bind_count(t, "traffic", "messages", &c.messages, 1);
-        bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
-        bind_duration(t, "traffic", "message_interval", &c.message_interval, 1);
-        bind_time(t, "traffic", "first_message", &c.first_message);
-        bind_count(t, "traffic", "messages2", &c.messages2);
-        bind_time(t, "traffic", "second_wave_at", &c.second_wave_at);
-        bind_rate(t, "links", "wan_rate", &c.wan_rate);
-        bind_duration(t, "links", "wan_delay", &c.wan_delay);
-        bind_size(t, "links", "wan_queue", &c.wan_queue_bytes, 1);
-        bind_time(t, "faults", "fault_at", &c.fault_at);
-        bind_duration(t, "faults", "feed_cut_after", &c.feed_cut_after);
-        bind_time(t, "faults", "fault2_at", &c.fault2_at);
-        bind_time(t, "faults", "revive_at", &c.revive_at);
-        bind_time(t, "faults", "burst_at", &c.burst_at);
-        bind_duration(t, "faults", "burst_duration", &c.burst_duration);
-        bind_fraction(t, "faults", "burst_ber", &c.burst_ber);
-        bind_duration(t, "recovery", "nak_retry", &c.nak_retry, 1);
-        bind_duration(t, "recovery", "nak_retry_cap", &c.nak_retry_cap, 1);
-        bind_count(t, "recovery", "max_nak_attempts", &c.max_nak_attempts, 1);
-        bind_count(t, "recovery", "failover_attempts", &c.failover_attempts, 1);
-        bind_duration(t, "recovery", "probe_interval", &c.probe_interval, 1);
-        bind_duration(t, "recovery", "probe_deadline", &c.probe_deadline, 1);
-        bind_time(t, "recovery", "flush_at", &c.flush_at);
-        bind_time(t, "recovery", "flush2_at", &c.flush2_at);
-        bind_rate(t, "policy", "planned_rate", &c.planned_rate);
-        bind_bool(t, "persistence", "persist", &c.persist);
-        bind_count(t, "persistence", "chunk_records", &c.persist_chunk_records, 1);
-        bind_bool(t, "trace", "enabled", &c.trace);
-        bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
-        bind_bool(t, "trace", "record", &c.record);
-    } else if (spec.topology == "overload") {
-        auto& c = spec.overload;
-        bind_count(t, "traffic", "messages", &c.messages, 1);
-        bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
-        bind_duration(t, "traffic", "message_interval", &c.message_interval, 1);
-        bind_time(t, "traffic", "first_message", &c.first_message);
-        bind_rate(t, "links", "wan_rate", &c.wan_rate);
-        bind_duration(t, "links", "wan_delay", &c.wan_delay);
-        bind_size(t, "links", "band_bytes", &c.band_bytes, 1);
-        bind_size(t, "overload", "bp_low", &c.bp_low_bytes, 1);
-        bind_size(t, "overload", "bp_high", &c.bp_high_bytes, 1);
-        bind_duration(t, "overload", "bp_min_interval", &c.bp_min_interval, 1);
-        bind_count(t, "overload", "bp_level_bands", &c.bp_level_bands, 1);
-        bind_rate(t, "overload", "pace", &c.pace);
-        bind_fraction(t, "overload", "min_pace_fraction", &c.min_pace_fraction);
-        bind_duration(t, "overload", "backpressure_hold", &c.backpressure_hold, 1);
-        bind_fraction(t, "overload", "recovery_step_fraction",
-                      &c.recovery_step_fraction);
-        bind_duration(t, "overload", "recovery_interval", &c.recovery_interval, 1);
-        bind_size(t, "overload", "buffer_capacity", &c.buffer_capacity_bytes, 1);
-        bind_duration(t, "overload", "buffer_retention", &c.buffer_retention, 1);
-        bind_rate(t, "overload", "retransmit_pace", &c.retransmit_pace);
-        bind_size(t, "overload", "occupancy_high", &c.occupancy_high_bytes, 1);
-        bind_size(t, "overload", "occupancy_low", &c.occupancy_low_bytes, 1);
-        bind_duration(t, "overload", "pressure_poll", &c.pressure_poll, 1);
-        bind_time(t, "overload", "poll_until", &c.poll_until);
-        bind_time(t, "overload", "second_flow_at", &c.second_flow_at);
-        bind_rate(t, "overload", "second_flow_rate", &c.second_flow_rate);
-        bind_duration(t, "recovery", "nak_retry", &c.nak_retry, 1);
-        bind_duration(t, "recovery", "nak_retry_cap", &c.nak_retry_cap, 1);
-        bind_count(t, "recovery", "max_nak_attempts", &c.max_nak_attempts, 1);
-        bind_duration(t, "recovery", "flush_check", &c.flush_check, 1);
-        bind_duration(t, "recovery", "probe_interval", &c.probe_interval, 1);
-        bind_duration(t, "recovery", "probe_deadline", &c.probe_deadline, 1);
-        bind_count(t, "policy", "deadline_us", &c.deadline_us);
-        bind_rate(t, "policy", "planned_rate", &c.planned_rate);
-        bind_bool(t, "trace", "enabled", &c.trace);
-        bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
-    } else if (spec.topology == "shapeshift") {
-        auto& c = spec.shapeshift;
-        bind_count(t, "traffic", "messages", &c.messages, 1);
-        bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
-        bind_duration(t, "traffic", "message_interval", &c.message_interval, 1);
-        bind_time(t, "traffic", "first_message", &c.first_message);
-        bind_rate(t, "links", "wan_rate", &c.wan_rate);
-        bind_duration(t, "links", "wan_delay", &c.wan_delay);
-        bind_size(t, "links", "wan_queue", &c.wan_queue_bytes, 1);
-        bind_time(t, "faults", "burst_at", &c.burst_at);
-        bind_duration(t, "faults", "burst_duration", &c.burst_duration);
-        bind_fraction(t, "faults", "burst_ber", &c.burst_ber);
-        bind_preset(t, "policy", "preset", &c.policy);
-        bind_duration(t, "policy", "poll_interval", &c.poll_interval, 1);
-        bind_time(t, "policy", "poll_until", &c.poll_until);
-        bind_duration(t, "policy", "drain_window", &c.drain_window, 1);
-        bind_count(t, "policy", "loss_degrade_threshold",
-                   &c.loss_degrade_threshold, 1);
-        bind_count(t, "policy", "restore_after_clean_polls",
-                   &c.restore_after_clean_polls, 1);
-        bind_count(t, "policy", "deadline_us", &c.deadline_us);
-        bind_time(t, "recovery", "flush_at", &c.flush_at);
-        bind_bool(t, "trace", "enabled", &c.trace);
-        bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
-    } else if (spec.topology == "soak") {
-        auto& c = spec.soak;
-        bind_count(t, "traffic", "slices_per_experiment",
-                   &c.slices_per_experiment, 1);
-        bind_count(t, "traffic", "messages_per_stream", &c.messages_per_stream, 1);
-        bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
-        bind_duration(t, "traffic", "message_interval", &c.message_interval, 1);
-        bind_time(t, "traffic", "first_message", &c.first_message);
-        bind_experiment(t, "cms", 0, &c);
-        bind_experiment(t, "dune", 1, &c);
-        bind_experiment(t, "ecce", 2, &c);
-        bind_experiment(t, "mu2e", 3, &c);
-        bind_experiment(t, "rubin", 4, &c);
-        bind_rate(t, "links", "wan_rate", &c.wan_rate);
-        bind_duration(t, "links", "wan_delay", &c.wan_delay);
-        bind_size(t, "links", "wan_queue", &c.wan_queue_bytes, 1);
-        bind_time(t, "faults", "burst1_at", &c.burst1_at);
-        bind_duration(t, "faults", "burst1_duration", &c.burst1_duration);
-        bind_fraction(t, "faults", "burst1_ber", &c.burst1_ber);
-        bind_time(t, "faults", "dtn2_down_at", &c.dtn2_down_at);
-        bind_time(t, "faults", "dtn2_up_at", &c.dtn2_up_at);
-        bind_time(t, "faults", "wan_down_at", &c.wan_down_at);
-        bind_time(t, "faults", "wan_up_at", &c.wan_up_at);
-        bind_time(t, "faults", "burst2_at", &c.burst2_at);
-        bind_duration(t, "faults", "burst2_duration", &c.burst2_duration);
-        bind_fraction(t, "faults", "burst2_ber", &c.burst2_ber);
-        bind_preset(t, "policy", "preset", &c.policy);
-        bind_duration(t, "policy", "poll_interval", &c.poll_interval, 1);
-        bind_duration(t, "policy", "drain_window", &c.drain_window, 1);
-        bind_count(t, "policy", "loss_degrade_threshold",
-                   &c.loss_degrade_threshold, 1);
-        bind_count(t, "policy", "restore_after_clean_polls",
-                   &c.restore_after_clean_polls, 1);
-        bind_size(t, "overload", "dtn1_capacity", &c.dtn1_capacity_bytes, 1);
-        bind_duration(t, "overload", "dtn1_retention", &c.dtn1_retention, 1);
-        bind_size(t, "overload", "occupancy_high", &c.occupancy_high_bytes, 1);
-        bind_size(t, "overload", "occupancy_low", &c.occupancy_low_bytes, 1);
-        bind_duration(t, "overload", "pressure_hold", &c.pressure_hold, 1);
-        bind_duration(t, "overload", "pressure_poll", &c.pressure_poll, 1);
-        bind_duration(t, "overload", "churn_interval", &c.churn_interval, 1);
-        bind_duration(t, "overload", "churn_hold", &c.churn_hold, 1);
-        bind_rate(t, "overload", "churn_rate", &c.churn_rate);
-        bind_time(t, "overload", "churn_until", &c.churn_until);
-        bind_rate(t, "overload", "trunk_rate", &c.trunk_rate);
-        bind_count(t, "recovery", "max_nak_attempts", &c.max_nak_attempts, 1);
-        bind_count(t, "recovery", "failover_attempts", &c.failover_attempts, 1);
-        bind_time(t, "recovery", "flush_at", &c.flush_at);
-        bind_time(t, "recovery", "prune_from", &c.prune_from);
-        bind_duration(t, "recovery", "prune_interval", &c.prune_interval, 1);
-        bind_duration(t, "recovery", "prune_idle_after", &c.prune_idle_after, 1);
-        bind_duration(t, "recovery", "probe_interval", &c.probe_interval, 1);
-        bind_time(t, "recovery", "end_at", &c.end_at);
-        bind_count(t, "persistence", "chunk_records", &c.persist_chunk_records, 1);
-    }
+    if (const auto* row = find(spec.topology)) row->bind(t, spec);
     return t;
 }
 
+/// The const accessors below only read through the pointers.
+registry::knobs knobs_of(const scenario_spec& spec)
+{
+    return registry::knobs_of(const_cast<scenario_spec&>(spec));
+}
+
 } // namespace
+
+// --- registry --------------------------------------------------------------
+
+namespace registry {
+
+bool known(const std::string& name) { return find(name) != nullptr; }
+
+std::vector<std::string> names()
+{
+    std::vector<std::string> out;
+    out.reserve(topologies.size());
+    for (const auto& row : topologies) out.emplace_back(row.name);
+    return out;
+}
+
+std::unique_ptr<driver> make(const scenario_spec& spec)
+{
+    const auto* row = find(spec.topology);
+    return row != nullptr ? row->make(spec) : nullptr;
+}
+
+knobs knobs_of(scenario_spec& spec)
+{
+    const auto* row = find(spec.topology);
+    return row != nullptr ? row->knobs_of(spec) : knobs{};
+}
+
+} // namespace registry
 
 // --- scenario_spec -------------------------------------------------------
 
 std::uint64_t scenario_spec::seed() const
 {
-    if (topology == "today") return today.today.seed;
-    if (topology == "chaos") return chaos.seed;
-    if (topology == "overload") return overload.seed;
-    if (topology == "shapeshift") return shapeshift.seed;
-    if (topology == "soak") return soak.seed;
-    return pilot.pilot.seed;
+    const auto k = knobs_of(*this);
+    return k.seed != nullptr ? *k.seed : 0;
 }
 
 void scenario_spec::set_seed(std::uint64_t s)
 {
-    // Only the active topology's config matters; setting all six keeps
-    // this free of topology dispatch.
-    pilot.pilot.seed = s;
-    today.today.seed = s;
-    chaos.seed = s;
-    overload.seed = s;
-    shapeshift.seed = s;
-    soak.seed = s;
+    if (const auto k = registry::knobs_of(*this); k.seed != nullptr) *k.seed = s;
 }
 
 std::uint32_t scenario_spec::link_burst() const
 {
-    if (topology == "today") return today.today.link_burst;
-    if (topology == "chaos") return chaos.link_burst;
-    if (topology == "overload") return overload.link_burst;
-    if (topology == "shapeshift") return shapeshift.link_burst;
-    if (topology == "soak") return soak.link_burst;
-    return pilot.pilot.link_burst;
+    const auto k = knobs_of(*this);
+    return k.link_burst != nullptr ? *k.link_burst : 1;
 }
 
 void scenario_spec::set_link_burst(std::uint32_t b)
 {
-    pilot.pilot.link_burst = b;
-    today.today.link_burst = b;
-    chaos.link_burst = b;
-    overload.link_burst = b;
-    shapeshift.link_burst = b;
-    soak.link_burst = b;
+    if (const auto k = registry::knobs_of(*this); k.link_burst != nullptr)
+        *k.link_burst = b;
 }
 
-bool scenario_spec::shardable() const { return topology == "chaos" || topology == "soak"; }
+bool scenario_spec::shardable() const { return knobs_of(*this).shards != nullptr; }
 
 std::uint32_t scenario_spec::shards() const
 {
-    if (topology == "chaos") return chaos.shards;
-    if (topology == "soak") return soak.shards;
-    return 1;
+    const auto k = knobs_of(*this);
+    return k.shards != nullptr ? *k.shards : 1;
 }
 
 void scenario_spec::set_shards(std::uint32_t n)
 {
-    chaos.shards = n;
-    soak.shards = n;
+    if (const auto k = registry::knobs_of(*this); k.shards != nullptr) *k.shards = n;
 }
 
 // --- parsing -------------------------------------------------------------
@@ -861,74 +946,8 @@ telemetry::table dsl_driver::report(telemetry::metrics_registry& reg)
     return inner_->report(reg);
 }
 
-dsl_driver::acceptance dsl_driver::accept()
-{
-    acceptance a;
-    if (spec_.topology == "pilot") {
-        auto& d = static_cast<pilot_driver&>(*inner_);
-        const auto st = d.testbed().dtn2_rx->stats();
-        a.expected = d.records_driven();
-        a.delivered = st.datagrams;
-        a.duplicates = st.duplicates;
-        a.given_up = st.given_up;
-        a.outstanding_gaps = d.testbed().dtn2_rx->outstanding_gaps();
-    } else if (spec_.topology == "today") {
-        auto& d = static_cast<today_driver&>(*inner_);
-        // The status-quo pipeline has no sequencing: acceptance is byte
-        // accounting at the first UDP hop (and the scenario is lossy).
-        a.expected = d.bytes_scheduled();
-        a.delivered = d.testbed().dtn1_received_bytes;
-    } else if (spec_.topology == "chaos") {
-        auto& d = static_cast<chaos_driver&>(*inner_);
-        const auto& r = d.result();
-        a.expected = r.messages_sent;
-        a.delivered = r.rx.datagrams;
-        a.duplicates = r.rx.duplicates;
-        a.given_up = r.rx.given_up;
-        a.outstanding_gaps = d.testbed().rx->outstanding_gaps();
-    } else if (spec_.topology == "overload") {
-        auto& d = static_cast<overload_driver&>(*inner_);
-        const auto& r = d.result();
-        a.expected = r.messages_sent;
-        a.delivered = r.rx.datagrams;
-        a.duplicates = r.rx.duplicates;
-        a.given_up = r.rx.given_up;
-        a.outstanding_gaps = d.testbed().rx->outstanding_gaps();
-    } else if (spec_.topology == "shapeshift") {
-        auto& d = static_cast<shapeshift_driver&>(*inner_);
-        const auto& r = d.result();
-        a.expected = r.messages_sent;
-        a.delivered = r.delivered;
-        a.duplicates = r.rx.duplicates;
-        a.given_up = r.rx.given_up;
-        a.outstanding_gaps = d.testbed().rx->outstanding_gaps();
-    } else if (spec_.topology == "soak") {
-        auto& d = static_cast<soak_driver&>(*inner_);
-        const auto& r = d.result();
-        a.expected = r.messages_sent;
-        a.delivered = r.delivered;
-        a.duplicates = r.rx.duplicates;
-        a.given_up = r.rx.given_up;
-        a.outstanding_gaps = d.testbed().rx->outstanding_gaps();
-    }
-    a.whole = a.delivered == a.expected && a.given_up == 0
-        && a.outstanding_gaps == 0;
-    return a;
-}
+driver::acceptance dsl_driver::accept() { return inner_->accept(); }
 
-netsim::network& dsl_driver::network()
-{
-    if (spec_.topology == "pilot")
-        return static_cast<pilot_driver&>(*inner_).testbed().net;
-    if (spec_.topology == "today")
-        return static_cast<today_driver&>(*inner_).testbed().net;
-    if (spec_.topology == "chaos")
-        return static_cast<chaos_driver&>(*inner_).testbed().net;
-    if (spec_.topology == "overload")
-        return static_cast<overload_driver&>(*inner_).testbed().net;
-    if (spec_.topology == "shapeshift")
-        return static_cast<shapeshift_driver&>(*inner_).testbed().net;
-    return static_cast<soak_driver&>(*inner_).testbed().net;
-}
+netsim::network& dsl_driver::network() { return inner_->network(); }
 
 } // namespace mmtp::scenario

@@ -120,27 +120,10 @@ public:
     std::string describe() const override;
     run_context build() override;
     telemetry::table report(telemetry::metrics_registry& reg) override;
+    acceptance accept() override;
+    netsim::network& network() override;
 
     const scenario_spec& spec() const { return spec_; }
-    /// The concrete driver executing the spec (valid after build()).
-    driver& inner() { return *inner_; }
-
-    /// Generic acceptance numbers, post-run: what was offered, what
-    /// arrived, and the failure counters the campaign invariants gate
-    /// on. Wholeness semantics follow the drill's own summary.
-    struct acceptance {
-        std::uint64_t expected{0};
-        std::uint64_t delivered{0};
-        std::uint64_t duplicates{0};
-        std::uint64_t given_up{0};
-        std::uint64_t outstanding_gaps{0};
-        bool whole{false};
-    };
-    acceptance accept();
-
-    /// The testbed's network, for structural invariants (per-link stats
-    /// reconciliation). Valid after build().
-    netsim::network& network();
 
 private:
     scenario_spec spec_;

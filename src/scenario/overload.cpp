@@ -10,6 +10,20 @@ constexpr wire::experiment_id drill_stream =
     wire::make_experiment_id(wire::experiments::iceberg, 0);
 } // namespace
 
+void register_overload_metrics(telemetry::metrics_registry& reg, overload_testbed& tb)
+{
+    telemetry::register_engine_metrics(reg, tb.net.coordinator());
+    telemetry::register_link_metrics(reg, "wan", *tb.wan);
+    telemetry::register_priority_queue_metrics(reg, "wan", *tb.wan_queue);
+    telemetry::register_planner_metrics(reg, tb.planner, {"daq", "wan", "dtn-storage"});
+    telemetry::register_element_metrics(reg, "tofino", *tb.tofino);
+    telemetry::register_stack_metrics(reg, "src", *tb.src_stack);
+    telemetry::register_stack_metrics(reg, "rx", *tb.rx_stack);
+    telemetry::register_sender_metrics(reg, "src", *tb.tx);
+    telemetry::register_receiver_metrics(reg, "rx", *tb.rx);
+    telemetry::register_buffer_metrics(reg, "buf", *tb.buf_svc);
+}
+
 std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
 {
     auto tb = std::make_unique<overload_testbed>();
@@ -182,16 +196,7 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     eng.schedule_at(cfg.first_message, [tbp = tb.get()] { tbp->pressure_poll(); });
 
     // --- metrics registry: every layer reports into one place ---
-    telemetry::register_engine_metrics(tb->metrics, eng);
-    telemetry::register_link_metrics(tb->metrics, "wan", *tb->wan);
-    telemetry::register_priority_queue_metrics(tb->metrics, "wan", *tb->wan_queue);
-    telemetry::register_planner_metrics(tb->metrics, planner,
-                                        {"daq", "wan", "dtn-storage"});
-    telemetry::register_stack_metrics(tb->metrics, "src", *tb->src_stack);
-    telemetry::register_stack_metrics(tb->metrics, "rx", *tb->rx_stack);
-    telemetry::register_sender_metrics(tb->metrics, "src", *tb->tx);
-    telemetry::register_receiver_metrics(tb->metrics, "rx", *tb->rx);
-    telemetry::register_buffer_metrics(tb->metrics, "buf", *tb->buf_svc);
+    register_overload_metrics(tb->metrics, *tb);
 
     // --- traffic and end-of-stream flush ---
     daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,

@@ -176,6 +176,10 @@ struct overload_testbed {
 /// run_overload_drill) to execute.
 std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg);
 
+/// Registers the drill's standard probes into `reg`. The testbed's own
+/// registry (result metrics_csv) and the driver's report() both use it.
+void register_overload_metrics(telemetry::metrics_registry& reg, overload_testbed& tb);
+
 struct overload_result {
     core::sender_stats tx;
     core::receiver_stats rx;

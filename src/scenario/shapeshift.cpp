@@ -10,6 +10,19 @@ constexpr wire::experiment_id drill_stream =
     wire::make_experiment_id(wire::experiments::iceberg, 0);
 } // namespace
 
+void register_shapeshift_metrics(telemetry::metrics_registry& reg, shapeshift_testbed& tb)
+{
+    telemetry::register_engine_metrics(reg, tb.net.coordinator());
+    telemetry::register_link_metrics(reg, "wan", *tb.wan);
+    telemetry::register_policy_engine_metrics(reg, *tb.policy_ctl);
+    telemetry::register_element_metrics(reg, "tofino", *tb.tofino);
+    telemetry::register_stack_metrics(reg, "sensor", *tb.sensor_stack);
+    telemetry::register_stack_metrics(reg, "rx", *tb.rx_stack);
+    telemetry::register_sender_metrics(reg, "sensor", *tb.tx);
+    telemetry::register_receiver_metrics(reg, "rx", *tb.rx);
+    telemetry::register_buffer_metrics(reg, "dtn1", *tb.dtn1_svc);
+}
+
 std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg)
 {
     auto tb = std::make_unique<shapeshift_testbed>();
@@ -128,16 +141,8 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     tb->faults->corruption_burst(*tb->wan, cfg.burst_at, cfg.burst_duration,
                                  cfg.burst_ber);
 
-    // --- metrics registry ---
-    telemetry::register_engine_metrics(tb->metrics, eng);
-    telemetry::register_link_metrics(tb->metrics, "wan", *tb->wan);
-    telemetry::register_policy_engine_metrics(tb->metrics, *tb->policy_ctl);
-    telemetry::register_element_metrics(tb->metrics, "tofino", *tb->tofino);
-    telemetry::register_stack_metrics(tb->metrics, "sensor", *tb->sensor_stack);
-    telemetry::register_stack_metrics(tb->metrics, "rx", *tb->rx_stack);
-    telemetry::register_sender_metrics(tb->metrics, "sensor", *tb->tx);
-    telemetry::register_receiver_metrics(tb->metrics, "rx", *tb->rx);
-    telemetry::register_buffer_metrics(tb->metrics, "dtn1", *tb->dtn1_svc);
+    // --- metrics registry: every layer reports into one place ---
+    register_shapeshift_metrics(tb->metrics, *tb);
 
     // --- traffic and end-of-window flush ---
     daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,

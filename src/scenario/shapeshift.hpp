@@ -119,6 +119,11 @@ struct shapeshift_testbed {
 /// Call net.sim().run() (or use run_shapeshift_drill) to execute.
 std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg);
 
+/// Registers the drill's standard probes into `reg`. The testbed's own
+/// registry (result metrics_csv) and the driver's report() both use it.
+void register_shapeshift_metrics(telemetry::metrics_registry& reg,
+                                 shapeshift_testbed& tb);
+
 struct shapeshift_result {
     core::sender_stats tx;
     core::receiver_stats rx;

@@ -115,6 +115,27 @@ soak_config soak_smoke_config()
     return cfg;
 }
 
+void register_soak_metrics(telemetry::metrics_registry& reg, soak_testbed& tb)
+{
+    telemetry::register_engine_metrics(reg, tb.net.coordinator());
+    telemetry::register_link_metrics(reg, "wan-primary", *tb.wan_primary);
+    telemetry::register_link_metrics(reg, "wan-backup", *tb.wan_backup);
+    telemetry::register_link_metrics(reg, "dtn2-feed", *tb.dtn2_feed);
+    telemetry::register_planner_metrics(reg, tb.planner,
+                                        {"daq", "wan-primary", "wan-backup"});
+    telemetry::register_health_metrics(reg, *tb.health);
+    telemetry::register_element_metrics(reg, "tofino", *tb.tofino);
+    telemetry::register_stack_metrics(reg, "dtn1", *tb.dtn1_stack);
+    telemetry::register_stack_metrics(reg, "rx", *tb.rx_stack);
+    telemetry::register_receiver_metrics(reg, "rx", *tb.rx);
+    telemetry::register_buffer_metrics(reg, "dtn1", *tb.dtn1_svc);
+    telemetry::register_buffer_metrics(reg, "dtn2", *tb.dtn2_svc);
+    for (std::size_t i = 0; i < soak_experiments; ++i) {
+        telemetry::register_policy_engine_metrics(reg, slugs[i], *tb.engines[i]);
+        telemetry::register_sender_metrics(reg, slugs[i], *tb.senders[i]);
+    }
+}
+
 std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
 {
     auto tb = std::make_unique<soak_testbed>();
@@ -334,24 +355,7 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
     }
 
     // --- metrics registry: every layer reports into one place ---
-    telemetry::register_engine_metrics(tb->metrics, net.coordinator());
-    telemetry::register_link_metrics(tb->metrics, "wan-primary", *tb->wan_primary);
-    telemetry::register_link_metrics(tb->metrics, "wan-backup", *tb->wan_backup);
-    telemetry::register_link_metrics(tb->metrics, "dtn2-feed", *tb->dtn2_feed);
-    telemetry::register_planner_metrics(tb->metrics, planner,
-                                        {"daq", "wan-primary", "wan-backup"});
-    telemetry::register_health_metrics(tb->metrics, *tb->health);
-    telemetry::register_element_metrics(tb->metrics, "tofino", *tb->tofino);
-    telemetry::register_stack_metrics(tb->metrics, "dtn1", *tb->dtn1_stack);
-    telemetry::register_stack_metrics(tb->metrics, "rx", *tb->rx_stack);
-    telemetry::register_receiver_metrics(tb->metrics, "rx", *tb->rx);
-    telemetry::register_buffer_metrics(tb->metrics, "dtn1", *tb->dtn1_svc);
-    telemetry::register_buffer_metrics(tb->metrics, "dtn2", *tb->dtn2_svc);
-    for (std::size_t i = 0; i < soak_experiments; ++i) {
-        telemetry::register_policy_engine_metrics(tb->metrics, slugs[i],
-                                                  *tb->engines[i]);
-        telemetry::register_sender_metrics(tb->metrics, slugs[i], *tb->senders[i]);
-    }
+    register_soak_metrics(tb->metrics, *tb);
 
     // --- traffic: experiments × slices emission chains ---
     // The mask and per-experiment overrides shape the mix; everything

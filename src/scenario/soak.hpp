@@ -265,6 +265,10 @@ struct soak_testbed {
 /// net.sim().run() (or use run_soak_drill) to execute.
 std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg);
 
+/// Registers the drill's standard probes into `reg`. The testbed's own
+/// registry (result metrics_csv) and the driver's report() both use it.
+void register_soak_metrics(telemetry::metrics_registry& reg, soak_testbed& tb);
+
 struct soak_result {
     std::uint64_t messages_sent{0};
     std::uint64_t delivered{0};

@@ -2,8 +2,9 @@
 // reproduce the hand-written drivers byte-for-byte, every driver's
 // report is a deterministic function of its seed, the invariant-checked
 // axis matrix passes on the chaos drill, the seeded random campaign is
-// green, and two recordings of different runs diff at a well-defined
-// first divergent wire event.
+// green and its generated inputs are pinned, each fault drill's testbed
+// and driver register the same probes, and two recordings of different
+// runs diff at a well-defined first divergent wire event.
 #include "common/crc32c.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/chaos.hpp"
@@ -242,6 +243,56 @@ TEST(campaign_random, generated_scenarios_pass_their_invariants)
             for (const auto& f : cell.failures)
                 ADD_FAILURE() << "seed " << seed << ": " << f;
     }
+}
+
+// Pin of the campaign workload's inputs: the concatenated rendering of
+// generate(1..256). Topology draws, field values and key order all feed
+// the bytes, so a refactor of the generator or the DSL keyspace that
+// changes any generated scenario moves this pin.
+TEST(campaign_random, generated_scenario_texts_match_pin)
+{
+    std::string all;
+    for (std::uint64_t seed = 1; seed <= 256; ++seed)
+        all += render_scenario(campaign::generate(seed));
+    const auto crc =
+        crc32c({reinterpret_cast<const std::uint8_t*>(all.data()), all.size()});
+    EXPECT_EQ(all.size(), 192760u);
+    EXPECT_EQ(crc, 0x8d253c70u);
+}
+
+// ------------------------------------------------ one probe list per drill
+
+// A drill's testbed registry (result().metrics_csv) and its driver's
+// report(reg) must hold the same probes: both are filled by the drill's
+// one registration function.
+template <class Driver, class Config>
+void expect_one_probe_list(const Config& cfg, const char* drill)
+{
+    Driver d(cfg);
+    d.run();
+    telemetry::metrics_registry reg;
+    d.report(reg);
+    EXPECT_EQ(d.result().metrics_csv, reg.to_csv()) << drill;
+}
+
+TEST(campaign_probes, chaos_testbed_and_driver_register_the_same_probes)
+{
+    expect_one_probe_list<chaos_driver>(chaos_config{}, "chaos");
+}
+
+TEST(campaign_probes, overload_testbed_and_driver_register_the_same_probes)
+{
+    expect_one_probe_list<overload_driver>(overload_config{}, "overload");
+}
+
+TEST(campaign_probes, shapeshift_testbed_and_driver_register_the_same_probes)
+{
+    expect_one_probe_list<shapeshift_driver>(shapeshift_config{}, "shapeshift");
+}
+
+TEST(campaign_probes, soak_testbed_and_driver_register_the_same_probes)
+{
+    expect_one_probe_list<soak_driver>(soak_smoke_config(), "soak");
 }
 
 // -------------------------------------------- wire-recording structural diff

@@ -228,9 +228,12 @@ TEST(shard_determinism, chaos_identical_at_1_2_and_4_shards)
             }
             // Sharding must not change what the drill proves, only where
             // it runs: the full kill-and-revive story stays green. At
-            // burst 32 the first wave is repaired without a failover, so
+            // burst 32 the link's pump has already committed the primary
+            // queue's whole backlog when the fault lands, so nothing is
+            // stranded, the first wave is repaired without a failover and
             // the recovery trackers (which wait for one) stay unset at
-            // every shard count; the equal reports above pin that.
+            // every shard count (DESIGN §12); the equal reports above pin
+            // that.
             EXPECT_EQ(a.rx.given_up, 0u) << at;
             if (burst == 1) {
                 EXPECT_TRUE(a.recovered) << at;
