@@ -1,55 +1,69 @@
 #include "common/bytes.hpp"
 
+#include <array>
+
 namespace mmtp {
+
+namespace {
+
+/// Big-endian bytes of the low `N` bytes of `v`.
+template <std::size_t N>
+std::array<std::uint8_t, N> big_endian(std::uint64_t v)
+{
+    std::array<std::uint8_t, N> b{};
+    for (std::size_t i = 0; i < N; ++i)
+        b[i] = static_cast<std::uint8_t>(v >> (8 * (N - 1 - i)));
+    return b;
+}
+
+} // namespace
 
 void byte_writer::u16(std::uint16_t v)
 {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
+    put(big_endian<2>(v).data(), 2);
 }
 
 void byte_writer::u24(std::uint32_t v)
 {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
+    put(big_endian<3>(v).data(), 3);
 }
 
 void byte_writer::u32(std::uint32_t v)
 {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
+    put(big_endian<4>(v).data(), 4);
 }
 
 void byte_writer::u48(std::uint64_t v)
 {
-    for (int shift = 40; shift >= 0; shift -= 8)
-        buf_.push_back(static_cast<std::uint8_t>(v >> shift));
+    put(big_endian<6>(v).data(), 6);
 }
 
 void byte_writer::u64(std::uint64_t v)
 {
-    for (int shift = 56; shift >= 0; shift -= 8)
-        buf_.push_back(static_cast<std::uint8_t>(v >> shift));
+    put(big_endian<8>(v).data(), 8);
 }
 
 void byte_writer::bytes(std::span<const std::uint8_t> src)
 {
-    buf_.insert(buf_.end(), src.begin(), src.end());
+    put(src.data(), src.size());
 }
 
 void byte_writer::zeros(std::size_t n)
 {
-    buf_.insert(buf_.end(), n, 0);
+    if (small_) {
+        small_->resize(small_->size() + n);
+    } else {
+        auto& v = vec();
+        v.insert(v.end(), n, 0);
+    }
 }
 
 void byte_writer::patch_u16(std::size_t offset, std::uint16_t v)
 {
-    if (offset + 2 > buf_.size()) return;
-    buf_[offset] = static_cast<std::uint8_t>(v >> 8);
-    buf_[offset + 1] = static_cast<std::uint8_t>(v);
+    if (offset + 2 > size()) return;
+    std::uint8_t* d = small_ ? small_->data() : vec().data();
+    d[offset] = static_cast<std::uint8_t>(v >> 8);
+    d[offset + 1] = static_cast<std::uint8_t>(v);
 }
 
 bool byte_reader::ensure(std::size_t n)

@@ -5,6 +5,8 @@
 // sticky failure flag that callers check once at the end of a parse.
 #pragma once
 
+#include "common/small_bytes.hpp"
+
 #include <cstdint>
 #include <cstddef>
 #include <span>
@@ -12,13 +14,26 @@
 
 namespace mmtp {
 
-/// Appends big-endian integers to a growable byte vector.
+/// Appends big-endian integers to a growable byte buffer — its own
+/// vector, or a caller's small_bytes or vector (packet headers and
+/// archive chunks are built in place that way, with no temporary buffer
+/// and no copy).
 class byte_writer {
 public:
     byte_writer() = default;
     explicit byte_writer(std::size_t reserve_bytes) { buf_.reserve(reserve_bytes); }
+    /// Append to `out` (after its current bytes) instead of an owned
+    /// vector; take() must not be called on such a writer.
+    explicit byte_writer(small_bytes& out) : small_(&out) {}
+    explicit byte_writer(std::vector<std::uint8_t>& out) : vec_(&out) {}
 
-    void u8(std::uint8_t v) { buf_.push_back(v); }
+    void u8(std::uint8_t v)
+    {
+        if (small_)
+            small_->push_back(v);
+        else
+            vec().push_back(v);
+    }
     void u16(std::uint16_t v);
     void u24(std::uint32_t v); // low 24 bits
     void u32(std::uint32_t v);
@@ -28,8 +43,11 @@ public:
     /// Appends `n` zero bytes (padding).
     void zeros(std::size_t n);
 
-    std::size_t size() const { return buf_.size(); }
-    std::span<const std::uint8_t> view() const { return buf_; }
+    std::size_t size() const { return small_ ? small_->size() : vec().size(); }
+    std::span<const std::uint8_t> view() const
+    {
+        return small_ ? small_->view() : std::span<const std::uint8_t>(vec());
+    }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
 
     /// Overwrites a previously written big-endian u16 at `offset`
@@ -37,7 +55,23 @@ public:
     void patch_u16(std::size_t offset, std::uint16_t v);
 
 private:
+    std::vector<std::uint8_t>& vec() { return vec_ ? *vec_ : buf_; }
+    const std::vector<std::uint8_t>& vec() const { return vec_ ? *vec_ : buf_; }
+
+    void put(const std::uint8_t* src, std::size_t n)
+    {
+        if (small_) {
+            small_->append(src, n);
+        } else {
+            auto& v = vec();
+            v.insert(v.end(), src, src + n);
+        }
+    }
+
     std::vector<std::uint8_t> buf_;
+    // At most one is set: the caller's buffer this writer appends to.
+    small_bytes* small_{nullptr};
+    std::vector<std::uint8_t>* vec_{nullptr};
 };
 
 /// Reads big-endian integers out of a fixed byte span.

@@ -1,11 +1,16 @@
 // interval_set.hpp — ordered set of disjoint half-open [start, end)
 // intervals over uint64. Used by TCP reassembly/SACK scoreboards and by
 // the MMTP receiver's loss detector (gap tracking for NAKs).
+//
+// Stored as a sorted flat vector of runs. Runs never overlap or touch
+// (touching inserts merge), so both starts and ends are ascending and
+// every lookup is a binary search. The receiver's common case — the next
+// in-order datagram extends the last run — updates that run in place, so
+// a stream that is received in order never allocates.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,6 +18,9 @@ namespace mmtp {
 
 class interval_set {
 public:
+    /// One run [first, second).
+    using run = std::pair<std::uint64_t, std::uint64_t>;
+
     /// Inserts [start, end), merging with neighbours. No-op if start>=end.
     void insert(std::uint64_t start, std::uint64_t end);
 
@@ -29,22 +37,30 @@ public:
     /// missing value >= from.
     std::uint64_t next_missing(std::uint64_t from) const;
 
+    /// Start of the first interval that begins after `value`, or
+    /// `none` when there is no such interval.
+    std::uint64_t next_start_after(std::uint64_t value, std::uint64_t none) const;
+
     /// Gaps within [start, end) not covered by the set.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps(std::uint64_t start,
-                                                              std::uint64_t end) const;
+    std::vector<run> gaps(std::uint64_t start, std::uint64_t end) const;
 
     /// Total covered length.
     std::uint64_t covered() const;
 
-    bool empty() const { return m_.empty(); }
-    std::size_t interval_count() const { return m_.size(); }
-    void clear() { m_.clear(); }
+    bool empty() const { return runs_.empty(); }
+    std::size_t interval_count() const { return runs_.size(); }
+    void clear() { runs_.clear(); }
 
     /// Iteration over intervals (start, end), ascending.
-    const std::map<std::uint64_t, std::uint64_t>& intervals() const { return m_; }
+    std::span<const run> intervals() const { return runs_; }
 
 private:
-    std::map<std::uint64_t, std::uint64_t> m_; // start -> end
+    /// Index of the first run whose end is >= value (ends ascend).
+    std::size_t first_ending_at_or_after(std::uint64_t value) const;
+    /// Index of the first run whose start is > value (starts ascend).
+    std::size_t first_starting_after(std::uint64_t value) const;
+
+    std::vector<run> runs_;
 };
 
 } // namespace mmtp

@@ -62,9 +62,18 @@ void archive_writer::set_dataset_attribute(wire::experiment_id experiment,
     datasets_[experiment].attributes[key] = value;
 }
 
-bool archive_writer::append(wire::experiment_id experiment, archived_record r)
+bool archive_writer::append(wire::experiment_id experiment, const archived_record& r)
 {
-    if (limits_.max_record_bytes != 0 && r.payload.size() > limits_.max_record_bytes) {
+    return append(experiment, r.sequence, r.timestamp_ns, r.size_bytes, r.payload);
+}
+
+bool archive_writer::append(wire::experiment_id experiment, std::uint64_t sequence,
+                            std::uint64_t timestamp_ns, std::uint32_t size_bytes,
+                            std::span<const std::uint8_t> head,
+                            std::span<const std::uint8_t> tail)
+{
+    const std::size_t payload = head.size() + tail.size();
+    if (limits_.max_record_bytes != 0 && payload > limits_.max_record_bytes) {
         stats_.rejected_oversize++;
         return false;
     }
@@ -83,11 +92,23 @@ bool archive_writer::append(wire::experiment_id experiment, archived_record r)
         stats_.rejected_chunk_cap++;
         return false;
     }
-    ds.open_chunk.push_back(std::move(r));
+    byte_writer w(ds.chunks);
+    if (ds.open_count == 0) {
+        ds.open_offset = ds.chunks.size();
+        w.u32(0); // CRC-32C, patched at seal
+        w.u32(0); // record count, patched at seal
+    }
+    w.u64(sequence);
+    w.u64(timestamp_ns);
+    w.u32(size_bytes);
+    w.u32(static_cast<std::uint32_t>(payload));
+    w.bytes(head);
+    w.bytes(tail);
+    ds.open_count++;
     ds.record_count++;
     records_++;
     stats_.appended++;
-    if (ds.open_chunk.size() >= limits_.chunk_records) seal_chunk(ds);
+    if (ds.open_count >= limits_.chunk_records) seal_chunk(ds);
     return true;
 }
 
@@ -100,10 +121,12 @@ std::uint64_t archive_writer::discard_open_chunks()
 {
     std::uint64_t dropped = 0;
     for (auto& [id, ds] : datasets_) {
-        dropped += ds.open_chunk.size();
-        ds.record_count -= ds.open_chunk.size();
-        records_ -= ds.open_chunk.size();
-        ds.open_chunk.clear();
+        if (ds.open_count == 0) continue;
+        dropped += ds.open_count;
+        ds.record_count -= ds.open_count;
+        records_ -= ds.open_count;
+        ds.chunks.resize(ds.open_offset);
+        ds.open_count = 0;
     }
     return dropped;
 }
@@ -119,34 +142,29 @@ std::uint64_t archive_writer::sealed_records() const
 std::uint64_t archive_writer::open_records() const
 {
     std::uint64_t n = 0;
-    for (const auto& [id, ds] : datasets_) n += ds.open_chunk.size();
+    for (const auto& [id, ds] : datasets_) n += ds.open_count;
     return n;
 }
 
+namespace {
+
+void patch_u32(std::uint8_t* at, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * (3 - i)));
+}
+
+} // namespace
+
 void archive_writer::seal_chunk(dataset& ds)
 {
-    if (ds.open_chunk.empty()) return;
-    byte_writer w;
-    w.u32(static_cast<std::uint32_t>(ds.open_chunk.size()));
-    for (const auto& rec : ds.open_chunk) {
-        w.u64(rec.sequence);
-        w.u64(rec.timestamp_ns);
-        w.u32(rec.size_bytes);
-        w.u32(static_cast<std::uint32_t>(rec.payload.size()));
-        w.bytes(rec.payload);
-    }
-    const auto body = w.take();
-    const auto crc = crc32c(body);
-
-    const std::uint64_t offset = ds.sealed_chunks.size();
-    byte_writer chunk;
-    chunk.u32(crc);
-    chunk.bytes(body);
-    const auto bytes = chunk.take();
-    ds.sealed_chunks.insert(ds.sealed_chunks.end(), bytes.begin(), bytes.end());
-    ds.chunk_spans.push_back({offset, bytes.size()});
-    ds.chunk_counts.push_back(static_cast<std::uint32_t>(ds.open_chunk.size()));
-    ds.open_chunk.clear();
+    if (ds.open_count == 0) return;
+    std::uint8_t* chunk = ds.chunks.data() + ds.open_offset;
+    const std::size_t length = ds.chunks.size() - ds.open_offset;
+    patch_u32(chunk + 4, ds.open_count);
+    patch_u32(chunk, crc32c({chunk + 4, length - 4})); // over count + records
+    ds.chunk_spans.push_back({ds.open_offset, length});
+    ds.chunk_counts.push_back(ds.open_count);
+    ds.open_count = 0;
     stats_.chunks_sealed++;
 }
 
@@ -165,7 +183,7 @@ std::vector<std::uint8_t> archive_writer::finalize()
     std::map<wire::experiment_id, std::uint64_t> base_offsets;
     for (auto& [id, ds] : datasets_) {
         base_offsets[id] = w.size();
-        w.bytes(ds.sealed_chunks);
+        w.bytes(ds.chunks);
     }
 
     const std::uint64_t index_offset = w.size();

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,14 @@ public:
     /// Appends a record to the dataset of `experiment` (created lazily).
     /// Returns false — and counts the rejection — when an archive_limits
     /// cap refuses it; the writer stays usable either way.
-    bool append(wire::experiment_id experiment, archived_record r);
+    bool append(wire::experiment_id experiment, const archived_record& r);
+
+    /// The same, for a record whose payload is `head` followed by `tail`:
+    /// the record is serialized straight into the dataset's open chunk,
+    /// so appending allocates nothing beyond the chunk buffer's growth.
+    bool append(wire::experiment_id experiment, std::uint64_t sequence,
+                std::uint64_t timestamp_ns, std::uint32_t size_bytes,
+                std::span<const std::uint8_t> head, std::span<const std::uint8_t> tail = {});
 
     /// Seals every open chunk now (the durability point a crash cannot
     /// take back), without finalizing. Chunks sealed early may hold
@@ -103,10 +111,14 @@ public:
 
 private:
     struct dataset {
-        std::vector<std::uint8_t> sealed_chunks; // serialized, checksummed
+        /// Serialized chunks — u32 CRC-32C, u32 record count, records —
+        /// the sealed ones first, then the open one (from open_offset),
+        /// whose CRC and count are placeholders until seal_chunk.
+        std::vector<std::uint8_t> chunks;
+        std::size_t open_offset{0};
+        std::uint32_t open_count{0};
         std::vector<std::pair<std::uint64_t, std::uint64_t>> chunk_spans; // offset,len
         std::vector<std::uint32_t> chunk_counts;
-        std::vector<archived_record> open_chunk;
         std::map<std::string, std::string> attributes;
         std::uint64_t record_count{0};
     };

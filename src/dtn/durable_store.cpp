@@ -9,14 +9,6 @@ namespace {
 
 constexpr const char* journal_prefix = "seq.";
 
-std::vector<std::uint8_t> encode_payload(const buffered_datagram& d)
-{
-    byte_writer w;
-    w.u16(d.epoch);
-    w.bytes(d.inline_payload);
-    return w.take();
-}
-
 } // namespace
 
 bool durable_store::append(const buffered_datagram& d)
@@ -35,12 +27,12 @@ bool durable_store::append(const buffered_datagram& d)
 
 bool durable_store::append_impl(const buffered_datagram& d)
 {
-    daq::archived_record rec;
-    rec.sequence = d.sequence;
-    rec.timestamp_ns = d.timestamp_ns;
-    rec.size_bytes = d.size_bytes;
-    rec.payload = encode_payload(d);
-    return writer_.append(d.experiment, std::move(rec));
+    // Record payload: the epoch as a big-endian u16, then the datagram's
+    // inline bytes — written straight into the archive's open chunk.
+    const std::uint8_t epoch[2] = {static_cast<std::uint8_t>(d.epoch >> 8),
+                                   static_cast<std::uint8_t>(d.epoch)};
+    return writer_.append(d.experiment, d.sequence, d.timestamp_ns, d.size_bytes, epoch,
+                          d.inline_payload);
 }
 
 void durable_store::note_sequence(wire::experiment_id experiment, std::uint64_t next)

@@ -70,7 +70,7 @@ packet host::make_ipv4_packet(std::uint8_t protocol, wire::ipv4_addr dst,
                               std::uint8_t dscp) const
 {
     packet p;
-    byte_writer w(wire::eth_header_size + wire::ipv4_header_size);
+    byte_writer w(p.headers);
     wire::eth_header eth;
     eth.src = mac();
     eth.dst = 0; // resolved per-hop in the simulator; links are point-to-point
@@ -85,7 +85,6 @@ packet host::make_ipv4_packet(std::uint8_t protocol, wire::ipv4_addr dst,
     ip.total_length = 0; // patched by caller if it cares; simulator
                          // trusts packet.wire_size() instead
     serialize(ip, w);
-    p.headers = w.take();
     return p;
 }
 

@@ -23,9 +23,10 @@ struct packet {
     std::uint64_t id{0};
     /// Serialized protocol headers (Ethernet [+ IPv4 [+ UDP]] + payload
     /// protocol header). Network elements read and rewrite these bytes.
-    /// Small-buffer storage: real header stacks fit the 64-byte inline
-    /// capacity, so moving a packet through queues and event closures
-    /// never touches the heap.
+    /// Small-buffer storage: every header stack the wire layer builds,
+    /// up to Ethernet + IPv4 + a fully featured MMTP header (81 bytes),
+    /// fits the 84-byte inline capacity, so moving, copying or rewriting
+    /// a packet's headers never touches the heap.
     small_bytes headers;
     /// Real payload bytes (control bodies, alert contents, TCP segments).
     std::vector<std::uint8_t> payload;
@@ -54,6 +55,10 @@ struct packet {
 
     std::span<const std::uint8_t> header_view() const { return headers.view(); }
 };
+
+// Packets are moved through queues and captured by value in event
+// closures (inline_task's 192-byte buffer); keep the layout from growing.
+static_assert(sizeof(packet) == 160, "netsim::packet must stay 160 bytes");
 
 /// Monotonic packet-id source (one per scheduling domain; sharded runs
 /// give each shard a source with a disjoint starting offset).

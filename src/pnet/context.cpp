@@ -47,22 +47,27 @@ void deparse_context(packet_context& ctx)
 
     if (ctx.dst_override && ctx.ip) ctx.ip->dst = *ctx.dst_override;
 
-    byte_writer w(wire::max_header_size + wire::eth_header_size + wire::ipv4_header_size);
+    auto& headers = ctx.pkt.headers;
+    if (ctx.mmtp) {
+        // Every byte is re-serialized from the (possibly rewritten)
+        // structs, straight into the packet's buffer; MMTP datagrams keep
+        // their payload in pkt.payload / virtual_payload, so headers end
+        // with the MMTP header.
+        headers.clear();
+        byte_writer w(headers);
+        serialize(ctx.eth, w);
+        if (ctx.ip) serialize(*ctx.ip, w);
+        serialize(*ctx.mmtp, w);
+        return;
+    }
+
+    // Preserve the L4 header bytes of protocols we do not parse.
+    small_bytes out;
+    byte_writer w(out);
     serialize(ctx.eth, w);
     if (ctx.ip) serialize(*ctx.ip, w);
-
-    if (ctx.mmtp) {
-        // MMTP header is re-serialized from the (possibly rewritten)
-        // struct; MMTP datagrams keep their payload in pkt.payload /
-        // virtual_payload, so headers end here.
-        serialize(*ctx.mmtp, w);
-    } else {
-        // Preserve the L4 header bytes of protocols we do not parse.
-        const auto& old = ctx.pkt.headers;
-        if (ctx.l4_offset < old.size())
-            w.bytes(std::span<const std::uint8_t>(old).subspan(ctx.l4_offset));
-    }
-    ctx.pkt.headers = w.take();
+    if (ctx.l4_offset < headers.size()) w.bytes(headers.view().subspan(ctx.l4_offset));
+    headers = std::move(out);
 }
 
 } // namespace mmtp::pnet

@@ -221,7 +221,7 @@ void connection::maybe_send_data()
             // above it may simply still be in flight.
             std::uint64_t high = recovery_point_ < snd_nxt_ ? recovery_point_ : snd_nxt_;
             if (!sacked_.intervals().empty()) {
-                const auto highest_sacked_start = sacked_.intervals().rbegin()->first;
+                const auto highest_sacked_start = sacked_.intervals().back().first;
                 if (highest_sacked_start < high) high = highest_sacked_start;
             } else {
                 // no SACK info: classic fast retransmit repairs only the
@@ -263,9 +263,8 @@ void connection::maybe_send_data()
             len = avail < cfg_.mss ? avail : cfg_.mss;
             if (len > budget) len = budget;
             // do not run into a SACKed range
-            auto it = sacked_.intervals().upper_bound(snd_nxt_);
-            if (it != sacked_.intervals().end() && it->first < snd_nxt_ + len)
-                len = it->first - snd_nxt_;
+            const auto next_sacked = sacked_.next_start_after(snd_nxt_, snd_nxt_ + len);
+            if (next_sacked < snd_nxt_ + len) len = next_sacked - snd_nxt_;
             if (len == 0) break;
             snd_nxt_ += len;
         }

@@ -268,12 +268,9 @@ void register_element_metrics(metrics_registry& reg, const std::string& element_
                   [s] { return s->stats().dropped_unroutable; });
     // Named pipeline counters (P4-style): exported under one canonical
     // key family instead of each scenario inventing its own row names.
-    for (const char* ctr :
-         {"mode_transitions", "mode_shifts", "epochs_retired", "backpressure_engagements",
-          "backpressure_signals", "backpressure_suppressed", "backpressure_escalations",
-          "aged_packets", "aged_drops", "deadline_notifications", "duplicated",
-          "subscriptions"}) {
-        reg.add_probe(std::string("element_") + ctr, base,
+    for (std::size_t i = 0; i < pnet::counter_names.size(); ++i) {
+        const auto ctr = static_cast<pnet::counter_id>(i);
+        reg.add_probe("element_" + std::string(pnet::counter_names[i]), base,
                       [s, ctr] { return s->state().counter(ctr); });
     }
 }

@@ -4,11 +4,11 @@
 
 namespace mmtp::wire {
 
-std::vector<std::uint8_t> build_mmtp_over_ipv4(mac_addr src_mac, ipv4_addr src,
-                                               ipv4_addr dst, const header& h,
-                                               std::size_t total_payload, std::uint8_t dscp)
+small_bytes build_mmtp_over_ipv4(mac_addr src_mac, ipv4_addr src, ipv4_addr dst,
+                                 const header& h, std::size_t total_payload, std::uint8_t dscp)
 {
-    byte_writer w(eth_header_size + ipv4_header_size + max_header_size);
+    small_bytes out;
+    byte_writer w(out);
     eth_header eth;
     eth.src = src_mac;
     eth.dst = 0;
@@ -25,20 +25,20 @@ std::vector<std::uint8_t> build_mmtp_over_ipv4(mac_addr src_mac, ipv4_addr src,
     serialize(ip, w);
 
     serialize(h, w);
-    return w.take();
+    return out;
 }
 
-std::vector<std::uint8_t> build_mmtp_over_l2(mac_addr src_mac, mac_addr dst_mac,
-                                             const header& h)
+small_bytes build_mmtp_over_l2(mac_addr src_mac, mac_addr dst_mac, const header& h)
 {
-    byte_writer w(eth_header_size + max_header_size);
+    small_bytes out;
+    byte_writer w(out);
     eth_header eth;
     eth.src = src_mac;
     eth.dst = dst_mac;
     eth.ethertype = ethertype_mmtp;
     serialize(eth, w);
     serialize(h, w);
-    return w.take();
+    return out;
 }
 
 } // namespace mmtp::wire

@@ -1,6 +1,7 @@
 // Tests for the HDF5-style archival container (§6 challenge 2):
 // round-trips, chunking, checksum validation, attributes, random access,
 // and an end-to-end transcode of received MMTP datagrams.
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "daq/archive.hpp"
 #include "daq/trigger.hpp"
@@ -316,4 +317,49 @@ TEST(archive, large_payload_stress)
     ASSERT_EQ(records.size(), 500u);
     for (std::uint64_t i = 0; i < 500; ++i)
         EXPECT_EQ(records[i].payload.size(), sizes[i]) << i;
+}
+
+// Byte-identity pin: an archive built from seeded random records —
+// several datasets, payloads of 0..300 bytes, limit rejections, early
+// seals, a discarded tail and attributes — must keep this exact blob
+// (CRC-32C and length) however the writer lays out its open chunks.
+TEST(archive, seeded_random_blob_matches_pin)
+{
+    rng r(2024);
+    archive_limits limits;
+    limits.chunk_records = 7;
+    limits.max_record_bytes = 280;
+    limits.max_chunks_per_dataset = 40;
+    limits.max_datasets = 5;
+    archive_writer w(limits);
+    w.set_attribute("facility", "pin");
+    std::uint64_t seq = 0;
+    for (int op = 0; op < 1500; ++op) {
+        const auto exp = wire::make_experiment_id(
+            static_cast<std::uint32_t>(r.uniform_int(1, 6)),
+            static_cast<std::uint32_t>(r.uniform_int(0, 2)));
+        const double pick = r.uniform();
+        if (pick < 0.94) {
+            archived_record rec;
+            rec.sequence = seq++;
+            rec.timestamp_ns = r.next();
+            rec.size_bytes = static_cast<std::uint32_t>(r.uniform_int(0, 1u << 20));
+            rec.payload.resize(r.uniform_int(0, 300));
+            for (auto& b : rec.payload) b = static_cast<std::uint8_t>(r.next());
+            w.append(exp, std::move(rec));
+        } else if (pick < 0.97) {
+            w.seal_open_chunks();
+        } else if (pick < 0.98) {
+            w.discard_open_chunks();
+        } else {
+            w.set_dataset_attribute(exp, "op", std::to_string(op));
+        }
+    }
+    const auto st = w.stats();
+    EXPECT_GT(st.rejected_oversize, 0u);
+    EXPECT_GT(st.rejected_dataset_cap, 0u);
+    const auto blob = w.finalize();
+    ASSERT_TRUE(archive_reader::open(blob).has_value());
+    EXPECT_EQ(blob.size(), 146045u);
+    EXPECT_EQ(crc32c(blob), 0xf1a068e3u);
 }

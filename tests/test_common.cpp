@@ -1,15 +1,19 @@
 // Unit tests for src/common: byte codecs, rng, crc32c, histogram,
-// interval_set, and the unit types.
+// interval_set, small_bytes and the unit types.
 #include "common/bytes.hpp"
 #include "common/crc32c.hpp"
 #include "common/histogram.hpp"
 #include "common/interval_set.hpp"
 #include "common/rng.hpp"
+#include "common/small_bytes.hpp"
 #include "common/units.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
+#include <map>
+#include <utility>
 
 using namespace mmtp;
 using namespace mmtp::literals;
@@ -413,6 +417,267 @@ TEST(interval_set, random_ops_match_reference_bitmap)
         std::uint64_t expect = i;
         while (expect < universe && ref[expect]) expect++;
         EXPECT_EQ(s.next_missing(i), expect) << "from " << i;
+    }
+}
+
+namespace {
+
+/// The std::map-backed interval set the flat run vector replaced, kept
+/// verbatim as the differential reference.
+class map_interval_set {
+public:
+    void insert(std::uint64_t start, std::uint64_t end)
+    {
+        if (start >= end) return;
+        auto it = m_.upper_bound(start);
+        if (it != m_.begin()) {
+            auto prev = std::prev(it);
+            if (prev->second >= start) {
+                start = prev->first;
+                if (prev->second > end) end = prev->second;
+                it = m_.erase(prev);
+            }
+        }
+        while (it != m_.end() && it->first <= end) {
+            if (it->second > end) end = it->second;
+            it = m_.erase(it);
+        }
+        m_[start] = end;
+    }
+
+    void erase(std::uint64_t start, std::uint64_t end)
+    {
+        if (start >= end) return;
+        auto it = m_.lower_bound(start);
+        if (it != m_.begin()) {
+            auto prev = std::prev(it);
+            if (prev->second > start) it = prev;
+        }
+        while (it != m_.end() && it->first < end) {
+            const auto s = it->first;
+            const auto e = it->second;
+            it = m_.erase(it);
+            if (s < start) m_[s] = start;
+            if (e > end) {
+                m_[end] = e;
+                break;
+            }
+        }
+    }
+
+    bool contains(std::uint64_t v) const
+    {
+        auto it = m_.upper_bound(v);
+        return it != m_.begin() && std::prev(it)->second > v;
+    }
+
+    bool covers(std::uint64_t start, std::uint64_t end) const
+    {
+        if (start >= end) return true;
+        auto it = m_.upper_bound(start);
+        return it != m_.begin() && std::prev(it)->second >= end;
+    }
+
+    std::uint64_t next_missing(std::uint64_t from) const
+    {
+        auto it = m_.upper_bound(from);
+        if (it == m_.begin()) return from;
+        auto prev = std::prev(it);
+        return prev->second > from ? prev->second : from;
+    }
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps(std::uint64_t start,
+                                                              std::uint64_t end) const
+    {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+        if (start >= end) return out;
+        std::uint64_t cursor = start;
+        for (const auto& [s, e] : m_) {
+            if (e <= cursor) continue;
+            if (s >= end) break;
+            if (s > cursor) out.push_back({cursor, s < end ? s : end});
+            if (e > cursor) cursor = e;
+            if (cursor >= end) break;
+        }
+        if (cursor < end) out.push_back({cursor, end});
+        return out;
+    }
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> runs() const
+    {
+        return {m_.begin(), m_.end()};
+    }
+
+private:
+    std::map<std::uint64_t, std::uint64_t> m_;
+};
+
+} // namespace
+
+// Differential test: every query agrees with the map-backed reference
+// after every operation. Inserts lean in-order (the receiver's common
+// case: extend the run on the right), the rest are random.
+TEST(interval_set, random_ops_match_map_reference)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        interval_set s;
+        map_interval_set ref;
+        rng r(seed);
+        std::uint64_t cursor = 0;
+        for (int op = 0; op < 3000; ++op) {
+            std::uint64_t lo = r.uniform_int(0, 600);
+            std::uint64_t hi = lo + r.uniform_int(0, 40);
+            const double pick = r.uniform();
+            if (pick < 0.35) {
+                lo = cursor;
+                hi = cursor + r.uniform_int(1, 3);
+                cursor = hi + (r.chance(0.2) ? r.uniform_int(1, 8) : 0);
+                if (cursor > 600) cursor = 0;
+                s.insert(lo, hi);
+                ref.insert(lo, hi);
+            } else if (pick < 0.75) {
+                s.insert(lo, hi);
+                ref.insert(lo, hi);
+            } else if (pick < 0.97) {
+                s.erase(lo, hi);
+                ref.erase(lo, hi);
+            } else {
+                s.clear();
+                ref = map_interval_set{};
+            }
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
+            for (const auto& [a, b] : s.intervals()) got.emplace_back(a, b);
+            ASSERT_EQ(got, ref.runs()) << "seed " << seed << " op " << op;
+            const auto q = r.uniform_int(0, 650);
+            const auto q2 = q + r.uniform_int(0, 50);
+            ASSERT_EQ(s.contains(q), ref.contains(q));
+            ASSERT_EQ(s.covers(q, q2), ref.covers(q, q2));
+            ASSERT_EQ(s.next_missing(q), ref.next_missing(q));
+            ASSERT_EQ(s.gaps(q, q2), ref.gaps(q, q2));
+            ASSERT_EQ(s.empty(), got.empty());
+            ASSERT_EQ(s.interval_count(), got.size());
+        }
+    }
+}
+
+// ----------------------------------------------------------- small_bytes
+
+// Differential test against std::vector<uint8_t>: seeded random
+// assign / append / insert / resize / push_back / clear / copy / move
+// sequences over 0..200-byte buffers, so sizes cross the inline/heap
+// boundary in both directions, including copies and moves between an
+// inline and a spilled buffer.
+TEST(small_bytes, random_ops_match_vector)
+{
+    constexpr std::size_t max_len = 200;
+    constexpr std::size_t slots = 4;
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+        rng r(seed);
+        std::array<small_bytes, slots> sb;
+        std::array<std::vector<std::uint8_t>, slots> ref;
+        std::uint8_t next_byte = 0;
+        const auto fresh = [&](std::size_t n) {
+            std::vector<std::uint8_t> v(n);
+            for (auto& b : v) b = next_byte++;
+            return v;
+        };
+        bool saw_inline = false;
+        bool saw_spilled = false;
+        for (int op = 0; op < 4000; ++op) {
+            const auto i = static_cast<std::size_t>(r.uniform_int(0, slots - 1));
+            const auto j = static_cast<std::size_t>(r.uniform_int(0, slots - 1));
+            auto& s = sb[i];
+            auto& v = ref[i];
+            switch (r.uniform_int(0, 11)) {
+            case 0: { // assign from a vector
+                const auto src = fresh(r.uniform_int(0, max_len));
+                s = src;
+                v = src;
+                break;
+            }
+            case 1: { // assign from a span
+                const auto src = fresh(r.uniform_int(0, max_len));
+                s = std::span<const std::uint8_t>(src);
+                v = src;
+                break;
+            }
+            case 2: { // append
+                const auto src = fresh(r.uniform_int(0, max_len - v.size()));
+                s.append(src);
+                v.insert(v.end(), src.begin(), src.end());
+                break;
+            }
+            case 3: { // insert at a random position
+                const auto src = fresh(r.uniform_int(0, max_len - v.size()));
+                const auto at = r.uniform_int(0, v.size());
+                const auto it = s.insert(s.begin() + at, src.begin(), src.end());
+                ASSERT_EQ(it, s.data() + at);
+                v.insert(v.begin() + static_cast<std::ptrdiff_t>(at), src.begin(), src.end());
+                break;
+            }
+            case 4: { // resize (grow zero-fills, shrink truncates)
+                const auto n = r.uniform_int(0, max_len);
+                s.resize(n);
+                v.resize(n);
+                break;
+            }
+            case 5:
+                if (v.size() < max_len) {
+                    s.push_back(next_byte);
+                    v.push_back(next_byte++);
+                }
+                break;
+            case 6:
+                s.clear();
+                v.clear();
+                break;
+            case 7: // copy-assign between slots
+                sb[j] = sb[i];
+                ref[j] = ref[i];
+                break;
+            case 8: { // copy-construct
+                small_bytes c(sb[i]);
+                ASSERT_TRUE(c == ref[i]);
+                sb[j] = c;
+                ref[j] = ref[i];
+                break;
+            }
+            case 9: // move-assign between slots
+                if (i != j) {
+                    sb[j] = std::move(sb[i]);
+                    ref[j] = std::move(ref[i]);
+                    ASSERT_TRUE(sb[i].empty());
+                    ref[i].clear();
+                }
+                break;
+            case 10: { // move-construct, then move back
+                small_bytes m(std::move(sb[i]));
+                ASSERT_TRUE(sb[i].empty());
+                ASSERT_TRUE(m == ref[i]);
+                sb[i] = std::move(m);
+                break;
+            }
+            default: { // reserve, then keep appending
+                const auto n = r.uniform_int(0, max_len);
+                s.reserve(n);
+                ASSERT_GE(s.capacity(), n);
+                break;
+            }
+            }
+            for (std::size_t k = 0; k < slots; ++k) {
+                ASSERT_EQ(sb[k].size(), ref[k].size()) << "seed " << seed << " op " << op;
+                ASSERT_TRUE(sb[k] == ref[k]) << "seed " << seed << " op " << op;
+                ASSERT_GE(sb[k].capacity(), sb[k].size());
+                ASSERT_EQ(sb[k].empty(), ref[k].empty());
+                ASSERT_EQ(std::vector<std::uint8_t>(sb[k].begin(), sb[k].end()), ref[k]);
+                if (sb[k].size() > small_bytes::inline_capacity) {
+                    ASSERT_FALSE(sb[k].is_inline());
+                }
+                (sb[k].is_inline() ? saw_inline : saw_spilled) = true;
+            }
+        }
+        EXPECT_TRUE(saw_inline);
+        EXPECT_TRUE(saw_spilled);
     }
 }
 
