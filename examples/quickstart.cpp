@@ -102,7 +102,7 @@ int main()
     t.add_row({"dtn", "datagrams relayed+buffered",
                telemetry::fmt_count(buffer.stats().relayed)});
     t.add_row({"switch", "mode transitions",
-               telemetry::fmt_count(sw.state().counter("mode_transitions"))});
+               telemetry::fmt_count(sw.state().counter(pnet::counter_id::mode_transitions))});
     t.add_row({"analysis", "datagrams delivered",
                telemetry::fmt_count(rx.stats().datagrams)});
     t.add_row({"analysis", "recovered via NAK to DTN",

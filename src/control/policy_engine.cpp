@@ -66,7 +66,7 @@ std::uint64_t policy_engine::loss_total() const
 std::uint64_t policy_engine::bp_total() const
 {
     std::uint64_t total = 0;
-    for (auto* sw : bp_switches_) total += sw->state().counter("backpressure_engagements");
+    for (auto* sw : bp_switches_) total += sw->state().counter(pnet::counter_id::backpressure_engagements);
     return total;
 }
 

@@ -93,7 +93,7 @@ telemetry::table pilot_driver::report(telemetry::metrics_registry& reg)
     };
     row("records_driven", records_driven_);
     row("dtn1_relayed", tb_->dtn1_svc->stats().relayed);
-    row("mode_transitions", tb_->tofino2->state().counter("mode_transitions"));
+    row("mode_transitions", tb_->tofino2->state().counter(pnet::counter_id::mode_transitions));
     row("nak_requests_served", tb_->dtn1_svc->stats().nak_requests);
     row("retransmitted", tb_->dtn1_svc->stats().retransmitted);
     row("delivered", tb_->dtn2_rx->stats().datagrams);

@@ -268,10 +268,10 @@ overload_result summarize_overload(overload_testbed& tbr)
     r.band0_shed = tb->wan_queue->band_shed(0);
     r.band1_dropped = tb->wan_queue->band_dropped(1);
     const auto& st = tb->tofino->state();
-    r.bp_engagements = st.counter("backpressure_engagements");
-    r.bp_escalations = st.counter("backpressure_escalations");
-    r.bp_suppressed = st.counter("backpressure_suppressed");
-    r.bp_signals = st.counter("backpressure_signals");
+    r.bp_engagements = st.counter(pnet::counter_id::backpressure_engagements);
+    r.bp_escalations = st.counter(pnet::counter_id::backpressure_escalations);
+    r.bp_suppressed = st.counter(pnet::counter_id::backpressure_suppressed);
+    r.bp_signals = st.counter(pnet::counter_id::backpressure_signals);
     // Every shed/dropped band-0 packet was a deadline original (control
     // is never shed and would be the only other band-0 occupant); its
     // recovered copy carries no deadline, so the sum never counts a

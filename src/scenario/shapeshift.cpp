@@ -167,8 +167,8 @@ shapeshift_result summarize_shapeshift(shapeshift_testbed& tbr)
     r.all_delivered = r.delivered == r.messages_sent && r.rx.given_up == 0
         && tb->rx->outstanding_gaps() == 0;
     const auto& st = tb->tofino->state();
-    r.mode_shifts = st.counter("mode_shifts");
-    r.epochs_retired = st.counter("epochs_retired");
+    r.mode_shifts = st.counter(pnet::counter_id::mode_shifts);
+    r.epochs_retired = st.counter(pnet::counter_id::epochs_retired);
     r.final_epoch = tb->policy_ctl->epoch();
     r.final_posture = control::posture_name(tb->policy_ctl->current_posture());
     r.rx_mode_shifts_seen = r.rx.mode_shifts_seen;

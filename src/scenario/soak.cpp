@@ -570,8 +570,8 @@ soak_result summarize_soak(soak_testbed& tbr)
     row("restores", r.restores);
     for (std::size_t i = 0; i < soak_experiments; ++i)
         row(std::string("final_epoch_") + slugs[i], tb->engines[i]->epoch());
-    row("element_mode_shifts", tb->tofino->state().counter("mode_shifts"));
-    row("element_epochs_retired", tb->tofino->state().counter("epochs_retired"));
+    row("element_mode_shifts", tb->tofino->state().counter(pnet::counter_id::mode_shifts));
+    row("element_epochs_retired", tb->tofino->state().counter(pnet::counter_id::epochs_retired));
     row("link_downs_observed", r.health.downs_observed);
     row("fault_link_downs", r.faults.link_downs);
     row("fault_node_blackouts", r.faults.node_blackouts);

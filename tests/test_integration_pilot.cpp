@@ -62,7 +62,7 @@ TEST(pilot, mode_upgraded_in_network_not_at_endpoints)
         EXPECT_FALSE(m.has(wire::feature::backpressure));
     }
     // the switch performed the transitions
-    EXPECT_EQ(tb->tofino2->state().counter("mode_transitions"), 10u);
+    EXPECT_EQ(tb->tofino2->state().counter(pnet::counter_id::mode_transitions), 10u);
 }
 
 TEST(pilot, sequences_assigned_by_element_match_buffer_prediction)
@@ -107,7 +107,7 @@ TEST(pilot, ages_accumulate_and_deadline_violations_notify_dtn1)
     EXPECT_EQ(tb->dtn2_rx->stats().datagrams, 50u);
     EXPECT_EQ(tb->dtn2_rx->stats().aged_on_arrival, 50u);
     // age stage at the Alveo saw the violations and notified DTN1
-    EXPECT_GT(tb->alveo_rx->state().counter("aged_packets"), 0u);
+    EXPECT_GT(tb->alveo_rx->state().counter(pnet::counter_id::aged_packets), 0u);
     EXPECT_EQ(tb->deadline_notifications, 50u);
 }
 
@@ -136,7 +136,7 @@ TEST(pilot, dtn_local_sequencing_ablation_also_recovers)
     EXPECT_EQ(tb->dtn2_rx->stats().datagrams, 500u);
     EXPECT_EQ(tb->dtn2_rx->stats().given_up, 0u);
     // the element performed no mode transitions in this configuration
-    EXPECT_EQ(tb->tofino2->state().counter("mode_transitions"), 0u);
+    EXPECT_EQ(tb->tofino2->state().counter(pnet::counter_id::mode_transitions), 0u);
 }
 
 TEST(pilot, throughput_saturates_wan_link)

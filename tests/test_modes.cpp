@@ -121,6 +121,7 @@ TEST(mode_matrix, every_ordered_pair_shifts_mid_stream)
             SCOPED_TRACE(std::string(from.name) + " -> " + to.name);
             mode_transition_stage stage;
             element_state st;
+            stage.attach(st);
 
             stage.install_epoch(0, {rule_for(from)}, &st);
             ASSERT_TRUE(stage.has_epoch(0));
@@ -166,8 +167,8 @@ TEST(mode_matrix, every_ordered_pair_shifts_mid_stream)
             EXPECT_EQ(straggler.mmtp->m.cfg_data & kManagedBits, 0u);
             EXPECT_FALSE(straggler.mmtp->sequencing.has_value());
 
-            EXPECT_EQ(st.counter("mode_shifts"), 2u);
-            EXPECT_EQ(st.counter("epochs_retired"), 1u);
+            EXPECT_EQ(st.counter(counter_id::mode_shifts), 2u);
+            EXPECT_EQ(st.counter(counter_id::epochs_retired), 1u);
         }
     }
 }
@@ -297,8 +298,8 @@ TEST(policy_engine, epoch_lifecycle_make_before_break)
     EXPECT_EQ(pe.stats().reconfigs_installed, 4u); // start + 3 shifts
     EXPECT_EQ(pe.stats().reconfigs_committed, 3u);
     EXPECT_EQ(pe.stats().reconfigs_aborted, 1u);
-    EXPECT_EQ(f.sw->state().counter("mode_shifts"), 4u);
-    EXPECT_EQ(f.sw->state().counter("epochs_retired"), 3u);
+    EXPECT_EQ(f.sw->state().counter(counter_id::mode_shifts), 4u);
+    EXPECT_EQ(f.sw->state().counter(counter_id::epochs_retired), 3u);
 }
 
 // --------------------------------------------- shapeshift drill (e2e)

@@ -122,8 +122,8 @@ TEST(counter_width, sequencing_u48_rolls_over_into_epoch)
     stage.add_rule(r);
 
     pnet::element_state st;
+    stage.attach(st);
     const auto id = wire::make_experiment_id(wire::experiments::cms_l1, 0);
-    st.create_register("mode_seq", pnet::mode_transition_stage::seq_register_cells);
     st.reg("mode_seq", pnet::mode_transition_stage::seq_cell_of(id)) =
         (1ull << 48) - 1; // fast-forward to the last u48 sequence
 
