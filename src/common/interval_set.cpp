@@ -63,13 +63,6 @@ bool interval_set::contains(std::uint64_t value) const
     return i != 0 && runs_[i - 1].second > value;
 }
 
-bool interval_set::covers(std::uint64_t start, std::uint64_t end) const
-{
-    if (start >= end) return true;
-    const std::size_t i = first_starting_after(start);
-    return i != 0 && runs_[i - 1].second >= end;
-}
-
 std::uint64_t interval_set::next_missing(std::uint64_t from) const
 {
     const std::size_t i = first_starting_after(from);

@@ -30,9 +30,6 @@ public:
     /// True if `value` lies inside some interval.
     bool contains(std::uint64_t value) const;
 
-    /// True if all of [start, end) is covered.
-    bool covers(std::uint64_t start, std::uint64_t end) const;
-
     /// End of the interval starting at or covering `from`, i.e. the first
     /// missing value >= from.
     std::uint64_t next_missing(std::uint64_t from) const;

@@ -140,13 +140,10 @@ void receiver::on_data(delivered_datagram&& d)
         st.received.insert(s, s + 1);
         if (s + 1 > st.highest) st.highest = s + 1;
         st.base = st.received.next_missing(st.base);
-        // Drop gap records that are now fully resolved.
-        for (auto it = st.gaps.begin(); it != st.gaps.end();) {
-            if (it->first < st.base || st.received.covers(it->first, it->first + 1))
-                it = st.gaps.erase(it);
-            else
-                ++it;
-        }
+        // A gap record goes when its first sequence arrives (here) or
+        // when run_check gives the gap up; received sequences are never
+        // removed, so every record left starts at a missing sequence.
+        st.gaps.erase(s);
 
         if (st.base < st.highest) {
             if (!st.check_scheduled) schedule_check(k, cfg_.timing.reorder_grace);
@@ -276,6 +273,7 @@ void receiver::run_check(const stream_key& k)
             if (on_loss_)
                 for (std::uint64_t s = a; s < b; ++s) on_loss_(k.experiment, k.epoch, s);
             st.received.insert(a, b);
+            st.gaps.erase(a);
             continue;
         }
         const bool due = g.last_nak == sim_time::zero()

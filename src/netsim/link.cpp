@@ -47,40 +47,30 @@ void link::send(packet&& p)
         send_at(sched_.now(), std::move(p));
         return;
     }
-    const std::uint64_t pid = p.id;
-    const std::uint64_t wire = p.wire_size();
-    if (!up_) {
-        stats_.dropped_down++;
-        stats_.dropped_down_bytes += wire;
-        trace::emit(sched_.now(), trace_site_, trace::hop::link_drop, pid, wire,
-                    trace::reason::link_down);
-        return;
-    }
-    if (wire > cfg_.mtu) {
-        stats_.dropped_oversize++;
-        trace::emit(sched_.now(), trace_site_, trace::hop::link_drop, pid, wire,
-                    trace::reason::oversize);
-        return;
-    }
+    trace::flight_recorder* rec = trace::burst_recorder();
+    const sim_time now = sched_.now();
+    if (!admit(p, now, rec)) return;
     // Cut-through: an idle serializer with an empty queue takes the
     // packet directly — same timing, same statistics, two fewer moves.
     // Depth watchers disable it (they must observe the transient depth).
     if (!busy_ && !depth_watcher_ && queue_->empty() && queue_->would_accept(p)) {
-        queue_->note_passthrough(wire);
+        pass_through(p, now, rec);
         busy_ = true;
-        trace::emit(sched_.now(), trace_site_, trace::hop::link_enqueue, pid, wire);
-        trace::emit(sched_.now(), trace_site_, trace::hop::link_dequeue, pid, wire);
         transmit(std::move(p));
         return;
     }
+    const std::uint64_t pid = p.id;
+    const std::uint64_t wire = p.wire_size();
     if (!queue_->enqueue(std::move(p))) {
         // queue discipline recorded the drop
-        trace::emit(sched_.now(), trace_site_, trace::hop::link_drop, pid, wire,
-                    trace::reason::queue_full);
+        if (rec)
+            rec->emit(now.ns, trace_site_, trace::hop::link_drop, pid, wire,
+                      trace::reason::queue_full);
         if (depth_watcher_) depth_watcher_(queue_->byte_depth());
         return;
     }
-    trace::emit(sched_.now(), trace_site_, trace::hop::link_enqueue, pid, wire);
+    if (rec)
+        rec->emit(now.ns, trace_site_, trace::hop::link_enqueue, pid, wire, trace::reason::none);
     if (depth_watcher_) depth_watcher_(queue_->byte_depth());
     kick();
 }
@@ -97,33 +87,12 @@ void link::kick()
 
 void link::transmit(packet&& p)
 {
-    const auto wire = p.wire_size();
-    const auto tx = cfg_.rate.transmission_time(wire);
+    const auto tx = cfg_.rate.transmission_time(p.wire_size());
     stats_.busy = stats_.busy + tx; // the serializer runs even for lost packets
-
-    // Corruption / random-loss processes.
-    bool drop = false;
-    if (cfg_.drop_probability > 0.0 && noise_.chance(cfg_.drop_probability)) {
-        stats_.dropped_random++;
-        stats_.dropped_random_bytes += wire;
-        trace::emit(sched_.now(), trace_site_, trace::hop::link_drop, p.id, wire,
-                    trace::reason::random_loss);
-        drop = true;
-    } else {
-        stats_.tx_packets++;
-        stats_.tx_bytes += wire;
-    }
-    if (!drop && cfg_.bit_error_rate > 0.0) {
-        const double pkt_prob = cfg_.bit_error_rate * static_cast<double>(wire * 8);
-        if (noise_.chance(pkt_prob < 1.0 ? pkt_prob : 1.0)) {
-            stats_.corrupted++;
-            p.corrupted = true; // delivered, then dropped by the receiver
-            trace::emit(sched_.now(), trace_site_, trace::hop::link_corrupt, p.id, wire);
-        }
-    }
+    const bool delivered = survives_line(p, sched_.now(), trace::burst_recorder());
 
     // Arrival at the far end after serialization + propagation.
-    if (!drop) {
+    if (delivered) {
         p.stamp = sched_.now() + tx + cfg_.propagation; // exact arrival time
         if (coord_ != nullptr) {
             // Partition cut: stage into the destination shard's mailbox;
@@ -151,6 +120,63 @@ void link::transmit(packet&& p)
     });
 }
 
+bool link::admit(const packet& p, sim_time at, trace::flight_recorder* rec)
+{
+    const std::uint64_t wire = p.wire_size();
+    if (!up_) {
+        stats_.dropped_down++;
+        stats_.dropped_down_bytes += wire;
+        if (rec)
+            rec->emit(at.ns, trace_site_, trace::hop::link_drop, p.id, wire,
+                      trace::reason::link_down);
+        return false;
+    }
+    if (wire > cfg_.mtu) {
+        stats_.dropped_oversize++;
+        if (rec)
+            rec->emit(at.ns, trace_site_, trace::hop::link_drop, p.id, wire,
+                      trace::reason::oversize);
+        return false;
+    }
+    return true;
+}
+
+void link::pass_through(const packet& p, sim_time at, trace::flight_recorder* rec)
+{
+    const std::uint64_t wire = p.wire_size();
+    queue_->note_passthrough(wire);
+    if (rec) {
+        rec->emit(at.ns, trace_site_, trace::hop::link_enqueue, p.id, wire, trace::reason::none);
+        rec->emit(at.ns, trace_site_, trace::hop::link_dequeue, p.id, wire, trace::reason::none);
+    }
+}
+
+bool link::survives_line(packet& p, sim_time at, trace::flight_recorder* rec)
+{
+    const std::uint64_t wire = p.wire_size();
+    if (cfg_.drop_probability > 0.0 && noise_.chance(cfg_.drop_probability)) {
+        stats_.dropped_random++;
+        stats_.dropped_random_bytes += wire;
+        if (rec)
+            rec->emit(at.ns, trace_site_, trace::hop::link_drop, p.id, wire,
+                      trace::reason::random_loss);
+        return false;
+    }
+    stats_.tx_packets++;
+    stats_.tx_bytes += wire;
+    if (cfg_.bit_error_rate > 0.0) {
+        const double pkt_prob = cfg_.bit_error_rate * static_cast<double>(wire * 8);
+        if (noise_.chance(pkt_prob < 1.0 ? pkt_prob : 1.0)) {
+            stats_.corrupted++;
+            p.corrupted = true; // delivered, then dropped by the receiver
+            if (rec)
+                rec->emit(at.ns, trace_site_, trace::hop::link_corrupt, p.id, wire,
+                          trace::reason::none);
+        }
+    }
+    return true;
+}
+
 // --- burst machinery ----------------------------------------------------
 //
 // The pump replays the classic serializer event sequence in virtual time:
@@ -165,7 +191,9 @@ void link::send_at(sim_time t, packet&& p)
 {
     if (!burst_enabled()) {
         // Degrade to the per-packet path: immediately when due, else via
-        // an event at the packet's virtual send time.
+        // an event at the packet's virtual send time. A deferred send is
+        // a switch handing a packet on after its pipeline latency, so the
+        // event is attributed to the pipeline.
         if (t <= sched_.now()) {
             send(std::move(p));
             return;
@@ -173,26 +201,12 @@ void link::send_at(sim_time t, packet&& p)
         auto push = [this, pkt = std::move(p)]() mutable { send(std::move(pkt)); };
         static_assert(inline_task::stored_inline<decltype(push)>,
                       "deferred link send closure must not heap-allocate");
-        sched_.schedule_at(t, task_class::link_tx, std::move(push));
+        sched_.schedule_at(t, task_class::pipeline, std::move(push));
         return;
     }
     const sim_time now = sched_.now();
     p.stamp = t < now ? now : t;
-    const std::uint64_t pid = p.id;
-    const std::uint64_t wire = p.wire_size();
-    if (!up_) {
-        stats_.dropped_down++;
-        stats_.dropped_down_bytes += wire;
-        trace::emit(p.stamp, trace_site_, trace::hop::link_drop, pid, wire,
-                    trace::reason::link_down);
-        return;
-    }
-    if (wire > cfg_.mtu) {
-        stats_.dropped_oversize++;
-        trace::emit(p.stamp, trace_site_, trace::hop::link_drop, pid, wire,
-                    trace::reason::oversize);
-        return;
-    }
+    if (!admit(p, p.stamp, trace::burst_recorder())) return;
     pending_.push_back(std::move(p));
     if (!pump_scheduled_) {
         pump_scheduled_ = true;
@@ -209,34 +223,22 @@ void link::pump()
     while (!pending_.empty()) {
         packet p;
         pending_.pop_front_into(p);
-        const std::uint64_t wire = p.wire_size();
-        if (!up_) { // flipped by an interleaved control event
-            stats_.dropped_down++;
-            stats_.dropped_down_bytes += wire;
-            if (rec)
-                rec->emit(p.stamp.ns, trace_site_, trace::hop::link_drop, p.id, wire,
-                          trace::reason::link_down);
-            continue;
-        }
+        // The link may have gone down since send_at (an interleaved
+        // control event).
+        if (!admit(p, p.stamp, rec)) continue;
         // Packets already queued that the serializer picks up before this
         // send's instant go first — exact classic interleaving.
         drain_queue_until(p.stamp, rec);
         if (queue_->empty() && sched_free_at_ <= p.stamp && queue_->would_accept(p)) {
             // Zero-wait: the serializer is virtually idle when the packet
-            // shows up — mirror of the classic cut-through, including its
-            // passthrough accounting and enqueue/dequeue trace pair.
-            queue_->note_passthrough(wire);
-            if (rec) {
-                rec->emit(p.stamp.ns, trace_site_, trace::hop::link_enqueue, p.id, wire,
-                          trace::reason::none);
-                rec->emit(p.stamp.ns, trace_site_, trace::hop::link_dequeue, p.id, wire,
-                          trace::reason::none);
-            }
+            // shows up — the classic cut-through.
+            pass_through(p, p.stamp, rec);
             const sim_time pickup = p.stamp;
             commit(std::move(p), pickup, rec);
             continue;
         }
         const std::uint64_t pid = p.id;
+        const std::uint64_t wire = p.wire_size();
         const sim_time stamp = p.stamp;
         if (!queue_->enqueue(std::move(p))) {
             // queue discipline recorded the drop
@@ -270,31 +272,10 @@ void link::drain_queue_until(sim_time t, trace::flight_recorder* rec)
 
 void link::commit(packet&& p, sim_time pickup, trace::flight_recorder* rec)
 {
-    const auto wire = p.wire_size();
-    const auto tx = cfg_.rate.transmission_time(wire);
+    const auto tx = cfg_.rate.transmission_time(p.wire_size());
     stats_.busy = stats_.busy + tx; // the serializer runs even for lost packets
     sched_free_at_ = pickup + tx;
-
-    if (cfg_.drop_probability > 0.0 && noise_.chance(cfg_.drop_probability)) {
-        stats_.dropped_random++;
-        stats_.dropped_random_bytes += wire;
-        if (rec)
-            rec->emit(pickup.ns, trace_site_, trace::hop::link_drop, p.id, wire,
-                      trace::reason::random_loss);
-        return;
-    }
-    stats_.tx_packets++;
-    stats_.tx_bytes += wire;
-    if (cfg_.bit_error_rate > 0.0) {
-        const double pkt_prob = cfg_.bit_error_rate * static_cast<double>(wire * 8);
-        if (noise_.chance(pkt_prob < 1.0 ? pkt_prob : 1.0)) {
-            stats_.corrupted++;
-            p.corrupted = true; // delivered, then dropped by the receiver
-            if (rec)
-                rec->emit(pickup.ns, trace_site_, trace::hop::link_corrupt, p.id, wire,
-                          trace::reason::none);
-        }
-    }
+    if (!survives_line(p, pickup, rec)) return;
 
     p.stamp = sched_free_at_ + cfg_.propagation; // exact arrival time
     if (arr_open_ == nullptr) arr_open_ = acquire_burst();

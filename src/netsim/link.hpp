@@ -87,7 +87,8 @@ public:
     /// send_at calls from the current instant coalesce into one pump
     /// pass; the pump replays the classic serializer decisions in exact
     /// virtual-time order. Falls back to the per-packet path when burst
-    /// mode is off for this link.
+    /// mode is off for this link: at once when `t` is due, else from a
+    /// `task_class::pipeline` event at `t`.
     void send_at(sim_time t, packet&& p);
 
     /// True when this link batches (config().burst > 1). Depth watchers
@@ -149,6 +150,21 @@ public:
     bool cross_shard() const { return coord_ != nullptr; }
 
 private:
+    // --- shared by the per-packet path and the pump ---
+
+    /// Admission at `at`: drops (with stats and trace) a packet the link
+    /// cannot take because it is down or the packet exceeds the MTU.
+    /// Returns false when the packet was dropped.
+    bool admit(const packet& p, sim_time at, trace::flight_recorder* rec);
+    /// Zero-wait pickup at `at`: the packet bypasses the queue. Books the
+    /// queue passthrough and emits its enqueue/dequeue trace pair.
+    void pass_through(const packet& p, sim_time at, trace::flight_recorder* rec);
+    /// Random loss and corruption for a packet the serializer picks up
+    /// at `at`, with their RNG draws, stats and trace. Returns false
+    /// when the packet is lost on the line.
+    bool survives_line(packet& p, sim_time at, trace::flight_recorder* rec);
+
+    // --- per-packet path ---
     void kick();
     void transmit(packet&& p);
 

@@ -3,7 +3,6 @@
 #include "common/trace.hpp"
 #include "netsim/link.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace mmtp::pnet {
@@ -56,7 +55,7 @@ namespace {
 
 /// Clears verdicts and parse results on a reused scratch context.
 /// clear() (not reassignment) keeps clones/emissions capacity, so a
-/// recycled context never re-allocates, on the burst path or in receive().
+/// recycled context never re-allocates.
 void reset_context(packet_context& ctx)
 {
     ctx.ip.reset();
@@ -74,116 +73,20 @@ void reset_context(packet_context& ctx)
 
 void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
 {
-    if (p.corrupted) {
-        // Store-and-forward element: FCS fails, frame dropped here.
-        stats_.dropped_corrupted++;
-        trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_drop, p.id, 0,
-                    trace::reason::corrupted);
-        return;
-    }
-    if (p.hops > 64) { // loop backstop
-        stats_.dropped_malformed++;
-        trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_drop, p.id, 0,
-                    trace::reason::malformed);
-        return;
-    }
-
-    packet_context& ctx = rx_ctx_;
-    reset_context(ctx);
-    ctx.pkt = std::move(p);
-    ctx.ingress_port = ingress_port;
-    ctx.now = eng_.now();
-    if (!parse_context(ctx)) {
-        stats_.dropped_malformed++;
-        trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
-                    trace::reason::malformed);
-        return;
-    }
-
-    for (const auto& stage : stages_) {
-        stage->process(ctx, state_);
-        if (ctx.drop) break;
-    }
-
-    // Control messages synthesized by stages leave first (they are tiny
-    // and time-critical: NAKs, backpressure, deadline notifications).
-    for (auto& e : ctx.emissions) {
-        stats_.emissions++;
-        if (ids_) e.pkt.id = ids_->next();
-        netsim::packet out = std::move(e.pkt);
-        forward(std::move(out), e.dst);
-    }
-
-    if (ctx.drop) {
-        stats_.dropped_by_pipeline++;
-        trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
-                    trace::reason::pipeline);
-        return;
-    }
-
-    deparse_context(ctx);
-
-    // Clones (in-network duplication toward subscribers, Fig. 3 ⑥).
-    for (const auto dst : ctx.clones) {
-        netsim::packet copy = ctx.pkt; // deep copy of headers/payload
-        if (ids_) copy.id = ids_->next();
-        // Rewrite the clone's IPv4 destination.
-        packet_context cc;
-        cc.pkt = std::move(copy);
-        if (parse_context(cc) && cc.ip) {
-            cc.headers_dirty = true;
-            cc.dst_override = dst;
-            deparse_context(cc);
-            stats_.clones++;
-            // Binding record: ties the clone's fresh id to its parent's.
-            trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_clone, cc.pkt.id,
-                        ctx.pkt.id);
-            forward(std::move(cc.pkt), dst);
-        }
-    }
-
-    // Primary forwarding decision.
-    const auto delay = profile_.pipeline_latency;
-    if (ctx.mmtp_over_l2) {
-        // DAQ-network L2 segment: one upstream port toward the first DTN.
-        if (l2_uplink_ == netsim::no_port || l2_uplink_ >= port_count()) {
-            stats_.dropped_unroutable++;
-            trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
-                        trace::reason::unroutable);
-            return;
-        }
-        auto pkt = std::move(ctx.pkt);
-        const unsigned port = l2_uplink_;
-        stats_.forwarded++;
-        auto push = [this, port, moved = std::move(pkt)]() mutable {
-            egress(port).send(std::move(moved));
-        };
-        static_assert(inline_task::stored_inline<decltype(push)>,
-                      "switch egress closure must not heap-allocate");
-        eng_.schedule_in(delay, netsim::task_class::pipeline, std::move(push));
-        return;
-    }
-    if (!ctx.ip) {
-        stats_.dropped_unroutable++;
-        trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
-                    trace::reason::unroutable);
-        return;
-    }
-    const auto dst = ctx.dst_override.value_or(ctx.ip->dst);
-    forward(std::move(ctx.pkt), dst);
+    p.stamp = eng_.now();
+    receive_burst(&p, 1, ingress_port);
 }
 
 void programmable_switch::receive_burst(netsim::packet* pkts, unsigned n, unsigned ingress_port)
 {
-    if (!ctx_scratch_)
-        ctx_scratch_ = std::make_unique<packet_context[]>(netsim::max_burst);
-    packet_context* ctxs = ctx_scratch_.get();
+    if (ctx_scratch_.size() < n) ctx_scratch_.resize(n);
+    packet_context* ctxs = ctx_scratch_.data();
 
     // Admission + parse, per packet at its own arrival stamp.
     unsigned m = 0;
     for (unsigned i = 0; i < n; ++i) {
-        netsim::packet p = std::move(pkts[i]);
-        if (p.corrupted) {
+        netsim::packet& p = pkts[i];
+        if (p.corrupted) { // store-and-forward element: FCS fails, frame dropped here
             stats_.dropped_corrupted++;
             trace::emit(p.stamp, state_.trace_site, trace::hop::sw_drop, p.id, 0,
                         trace::reason::corrupted);
@@ -210,8 +113,10 @@ void programmable_switch::receive_burst(netsim::packet* pkts, unsigned n, unsign
     }
 
     // Stage-major: the whole burst crosses each stage before the next.
+    // A dropped packet skips every later stage (first drop wins).
     for (const auto& stage : stages_)
-        stage->process_burst(ctxs, m, state_);
+        for (unsigned i = 0; i < m; ++i)
+            if (!ctxs[i].drop) stage->process(ctxs[i], state_);
 
     for (unsigned i = 0; i < m; ++i)
         finalize_burst(ctxs[i]);
@@ -221,6 +126,8 @@ void programmable_switch::finalize_burst(packet_context& ctx)
 {
     const sim_time now = ctx.now;
 
+    // Control messages synthesized by stages leave first (they are tiny
+    // and time-critical: NAKs, backpressure, deadline notifications).
     for (auto& e : ctx.emissions) {
         stats_.emissions++;
         if (ids_) e.pkt.id = ids_->next();
@@ -236,6 +143,8 @@ void programmable_switch::finalize_burst(packet_context& ctx)
 
     deparse_context(ctx);
 
+    // Clones (in-network duplication toward subscribers, Fig. 3 ⑥), each
+    // with its IPv4 destination rewritten.
     for (const auto dst : ctx.clones) {
         netsim::packet copy = ctx.pkt; // deep copy of headers/payload
         if (ids_) copy.id = ids_->next();
@@ -246,12 +155,14 @@ void programmable_switch::finalize_burst(packet_context& ctx)
             cc.dst_override = dst;
             deparse_context(cc);
             stats_.clones++;
+            // Binding record: ties the clone's fresh id to its parent's.
             trace::emit(now, state_.trace_site, trace::hop::sw_clone, cc.pkt.id, ctx.pkt.id);
             forward_at(now, std::move(cc.pkt), dst);
         }
     }
 
     if (ctx.mmtp_over_l2) {
+        // DAQ-network L2 segment: one upstream port toward the first DTN.
         if (l2_uplink_ == netsim::no_port || l2_uplink_ >= port_count()) {
             stats_.dropped_unroutable++;
             trace::emit(now, state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
@@ -283,24 +194,6 @@ void programmable_switch::forward_at(sim_time now, netsim::packet&& p, wire::ipv
     }
     stats_.forwarded++;
     egress(port).send_at(now + profile_.pipeline_latency, std::move(p));
-}
-
-void programmable_switch::forward(netsim::packet&& p, wire::ipv4_addr dst)
-{
-    const unsigned port = route(dst);
-    if (port == netsim::no_port || port >= port_count()) {
-        stats_.dropped_unroutable++;
-        trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_drop, p.id, 0,
-                    trace::reason::unroutable);
-        return;
-    }
-    stats_.forwarded++;
-    auto push = [this, port, moved = std::move(p)]() mutable {
-        egress(port).send(std::move(moved));
-    };
-    static_assert(inline_task::stored_inline<decltype(push)>,
-                  "switch egress closure must not heap-allocate");
-    eng_.schedule_in(profile_.pipeline_latency, netsim::task_class::pipeline, std::move(push));
 }
 
 } // namespace mmtp::pnet

@@ -98,18 +98,9 @@ public:
     /// process() directly attaches the stage to its element_state first.
     virtual void attach(element_state& /*state*/) {}
 
+    /// Runs the stage on one packet. The switch never hands a stage a
+    /// packet an earlier stage dropped.
     virtual void process(packet_context& ctx, element_state& state) = 0;
-
-    /// Burst variant: one virtual call processes ctxs[0..n) in order.
-    /// Already-dropped packets are skipped, which preserves the
-    /// per-packet loop's first-drop-wins semantics (it breaks on drop, so
-    /// later stages never see a dropped packet). Concrete stages override
-    /// with a devirtualized loop; semantics must stay identical.
-    virtual void process_burst(packet_context* ctxs, unsigned n, element_state& state)
-    {
-        for (unsigned i = 0; i < n; ++i)
-            if (!ctxs[i].drop) process(ctxs[i], state);
-    }
 
     virtual std::string name() const = 0;
 };
@@ -142,14 +133,13 @@ public:
     programmable_switch(netsim::engine& eng, std::string name, wire::ipv4_addr addr,
                         wire::mac_addr mac, element_profile profile = tofino2_profile());
 
+    /// One packet arriving now: a burst of one.
     void receive(netsim::packet&& p, unsigned ingress_port) override;
 
-    /// Burst entry point: runs the whole burst through each stage before
-    /// advancing (stage-major), so per-stage virtual dispatch is paid
-    /// once per burst. Each packet is processed at its own arrival stamp
-    /// (ctx.now = pkt.stamp) and forwarded via link::send_at at its exact
-    /// classic-path egress time, so per-packet timelines and statistics
-    /// match the per-packet path byte for byte.
+    /// The pipeline: runs the whole burst through each stage before
+    /// advancing (stage-major). Each packet is processed at its own
+    /// arrival stamp (ctx.now = pkt.stamp) and leaves via link::send_at
+    /// one pipeline latency later.
     void receive_burst(netsim::packet* pkts, unsigned n, unsigned ingress_port) override;
 
     /// Appends a stage (attaching it to this element's state); runs
@@ -169,13 +159,12 @@ public:
     void set_id_source(netsim::packet_id_source* ids) { ids_ = ids; }
 
 private:
-    void forward(netsim::packet&& p, wire::ipv4_addr dst);
-    /// Burst-path forwarding: egress at virtual time `now` + pipeline
-    /// latency via link::send_at (classic-equivalent event when the
-    /// egress link is not in burst mode).
+    /// Egress toward `dst` at virtual time `now` + pipeline latency via
+    /// link::send_at (one deferred event when the egress link is not in
+    /// burst mode).
     void forward_at(sim_time now, netsim::packet&& p, wire::ipv4_addr dst);
     /// Emissions / drop verdict / deparse / clones / primary forward for
-    /// one burst packet — the tail of receive(), at ctx.now.
+    /// one packet of a burst, at ctx.now.
     void finalize_burst(packet_context& ctx);
 
     element_profile profile_;
@@ -184,11 +173,10 @@ private:
     switch_stats stats_;
     unsigned l2_uplink_{netsim::no_port};
     netsim::packet_id_source* ids_{nullptr};
-    /// Scratch contexts for receive_burst, lazily sized to max_burst and
-    /// reused (vectors keep their capacity) so bursts never allocate.
-    std::unique_ptr<packet_context[]> ctx_scratch_;
-    /// receive()'s context, reused the same way.
-    packet_context rx_ctx_;
+    /// Scratch contexts for receive_burst, one per packet of the largest
+    /// burst seen so far, reused (their vectors keep their capacity), so
+    /// only a larger burst than any before allocates.
+    std::vector<packet_context> ctx_scratch_;
 };
 
 } // namespace mmtp::pnet

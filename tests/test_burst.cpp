@@ -203,3 +203,67 @@ TEST(burst_determinism, cut_through_identical_across_burst_sizes)
     EXPECT_EQ(at1, quiet(8));
     EXPECT_EQ(at1, quiet(32));
 }
+
+// Known defect, pinned so that its fix flips a visible assertion: at
+// burst > 1 the pump commits the whole queued backlog ahead of time
+// (link::pump's final drain_queue_until), so queue admission never sees
+// the backlog a congested link builds. 400 packets of 1,042 wire bytes,
+// one per event at twice the line rate of a 1 Gb/s link with a 16 KiB
+// queue: burst 1 overflows the queue as specified, burst 32 delivers
+// everything at a peak depth of one packet, whether the sender calls
+// send or send_at. ROADMAP "One link path" is the fix; when it lands,
+// the burst-32 rows must equal the burst-1 row.
+TEST(burst_admission, backlog_committed_ahead_escapes_the_queue_bound)
+{
+    struct outcome {
+        std::uint64_t delivered, queue_drops, peak_bytes;
+    };
+    auto run = [](unsigned burst, bool via_send_at) {
+        network net(7);
+        auto& a = net.add_host("a");
+        auto& b = net.add_host("b");
+        link_config cfg;
+        cfg.rate = data_rate::from_gbps(1);
+        cfg.queue_capacity_bytes = 16 * 1024;
+        cfg.burst = burst;
+        const unsigned out = net.connect_simplex(a, b, cfg);
+        net.compute_routes();
+        std::uint64_t delivered = 0;
+        b.set_protocol_handler(wire::ipproto_mmtp,
+                               [&](packet&&, const wire::ipv4_header&, std::size_t) {
+                                   delivered++;
+                               });
+
+        constexpr std::uint64_t wire_bytes = 1042;
+        const auto spacing =
+            sim_duration{cfg.rate.transmission_time(wire_bytes).ns / 2}; // 2x line rate
+        auto inject = [&](std::uint64_t k) {
+            packet p;
+            p.id = net.ids().next();
+            p.headers = wire::build_mmtp_over_ipv4(0x02, a.address(), b.address(),
+                                                   seq_header(k), 0);
+            p.virtual_payload = wire_bytes - p.headers.size();
+            if (via_send_at)
+                a.egress(out).send_at(net.sim().now(), std::move(p));
+            else
+                a.egress(out).send(std::move(p));
+        };
+        for (std::uint64_t k = 0; k < 400; ++k)
+            net.sim().schedule_at(sim_time{static_cast<std::int64_t>(k + 1) * spacing.ns},
+                                  [&inject, k] { inject(k); });
+        net.sim().run();
+        const auto& q = a.egress(out).queue_statistics();
+        return outcome{delivered, q.dropped, q.peak_bytes};
+    };
+
+    const outcome at1 = run(1, false);
+    EXPECT_EQ(at1.delivered, 215u);
+    EXPECT_EQ(at1.queue_drops, 185u);
+    EXPECT_EQ(at1.peak_bytes, 15630u);
+    for (const bool via_send_at : {false, true}) {
+        const outcome at32 = run(32, via_send_at);
+        EXPECT_EQ(at32.delivered, 400u) << "send_at=" << via_send_at;
+        EXPECT_EQ(at32.queue_drops, 0u) << "send_at=" << via_send_at;
+        EXPECT_EQ(at32.peak_bytes, 1042u) << "send_at=" << via_send_at;
+    }
+}

@@ -330,12 +330,12 @@ TEST(interval_set, merging_adjacent_and_overlapping)
     EXPECT_EQ(s.interval_count(), 1u);
     s.insert(15, 30); // overlapping
     EXPECT_EQ(s.interval_count(), 1u);
-    EXPECT_TRUE(s.covers(0, 30));
+    EXPECT_EQ(s.next_missing(0), 30u);
     s.insert(40, 50);
     EXPECT_EQ(s.interval_count(), 2u);
     s.insert(25, 45); // bridges the gap
     EXPECT_EQ(s.interval_count(), 1u);
-    EXPECT_TRUE(s.covers(0, 50));
+    EXPECT_EQ(s.next_missing(0), 50u);
 }
 
 TEST(interval_set, erase_splits)
@@ -344,10 +344,10 @@ TEST(interval_set, erase_splits)
     s.insert(0, 100);
     s.erase(40, 60);
     EXPECT_EQ(s.interval_count(), 2u);
-    EXPECT_TRUE(s.covers(0, 40));
+    EXPECT_EQ(s.next_missing(0), 40u);
     EXPECT_FALSE(s.contains(40));
     EXPECT_FALSE(s.contains(59));
-    EXPECT_TRUE(s.covers(60, 100));
+    EXPECT_EQ(s.next_missing(60), 100u);
     EXPECT_EQ(s.covered(), 80u);
 }
 
@@ -471,13 +471,6 @@ public:
         return it != m_.begin() && std::prev(it)->second > v;
     }
 
-    bool covers(std::uint64_t start, std::uint64_t end) const
-    {
-        if (start >= end) return true;
-        auto it = m_.upper_bound(start);
-        return it != m_.begin() && std::prev(it)->second >= end;
-    }
-
     std::uint64_t next_missing(std::uint64_t from) const
     {
         auto it = m_.upper_bound(from);
@@ -551,7 +544,6 @@ TEST(interval_set, random_ops_match_map_reference)
             const auto q = r.uniform_int(0, 650);
             const auto q2 = q + r.uniform_int(0, 50);
             ASSERT_EQ(s.contains(q), ref.contains(q));
-            ASSERT_EQ(s.covers(q, q2), ref.covers(q, q2));
             ASSERT_EQ(s.next_missing(q), ref.next_missing(q));
             ASSERT_EQ(s.gaps(q, q2), ref.gaps(q, q2));
             ASSERT_EQ(s.empty(), got.empty());

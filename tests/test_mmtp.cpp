@@ -1,6 +1,7 @@
 // Unit/functional tests for the MMTP core: stack demux, sender (modes,
 // fragmentation, pacing, backpressure reaction), receiver (delivery,
 // duplicates, NAK-based recovery), and the DTN buffer service.
+#include "common/rng.hpp"
 #include "mmtp/buffer_service.hpp"
 #include "mmtp/receiver.hpp"
 #include "mmtp/sender.hpp"
@@ -9,6 +10,8 @@
 #include "pnet/stages.hpp"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace mmtp;
 using namespace mmtp::core;
@@ -398,6 +401,74 @@ TEST(mmtp_receiver, gives_up_when_buffer_cannot_help)
     EXPECT_EQ(rx.stats().given_up, 2u);
     EXPECT_EQ((std::vector<std::uint64_t>{3, 4}), lost);
     EXPECT_GT(svc.stats().unavailable, 0u);
+}
+
+// A long sequenced stream that arrives reordered (jittered send times,
+// a few stragglers past the reorder grace) and lossy, with a repair
+// responder that answers some NAKs at once, some only when re-asked and
+// some never. The receiver's gap records see every case: repaired,
+// re-probed, repaired after a straggler already filled the sequence,
+// and given up. Its accounting is pinned.
+TEST(mmtp_receiver, reordered_lossy_stream_with_repairs_and_give_ups)
+{
+    mmtp_pair t(link_config{}, 77);
+    receiver_config rcfg;
+    rcfg.timing.retry_base = 1_ms;
+    rcfg.timing.max_attempts = 3;
+    rcfg.timing.failover_attempts = 0;
+    receiver rx(*t.sb, rcfg);
+    std::uint64_t lost = 0;
+    rx.set_on_loss([&](wire::experiment_id, std::uint16_t, std::uint64_t) { lost++; });
+
+    auto send_seq = [&](std::uint64_t s) {
+        wire::header h;
+        h.experiment = wire::make_experiment_id(6, 0);
+        h.m.set(wire::feature::sequencing).set(wire::feature::retransmission);
+        h.sequencing = wire::sequencing_field{s, 0};
+        h.retransmission = wire::retransmission_field{t.a->address()};
+        t.sa->send_datagram(t.b->address(), h, {}, 100);
+    };
+
+    // Sequences with s % 3 == 1 are repaired on the first NAK, s % 3 == 2
+    // on the second, and s % 3 == 0 never (the receiver gives up).
+    std::map<std::uint64_t, unsigned> asks;
+    t.sa->set_nak_handler([&](const wire::nak_body& nak, wire::experiment_id, wire::ipv4_addr) {
+        for (const auto& r : nak.ranges)
+            for (std::uint64_t s = r.first; s <= r.last; ++s) {
+                const unsigned n = ++asks[s];
+                if ((s % 3 == 1 && n == 1) || (s % 3 == 2 && n == 2)) send_seq(s);
+            }
+    });
+
+    constexpr std::uint64_t total = 4000;
+    rng r(5);
+    for (std::uint64_t s = 0; s < total; ++s) {
+        if (r.chance(0.04)) continue; // lost on the way
+        std::int64_t at_us = static_cast<std::int64_t>(s + r.uniform_int(0, 30));
+        if (r.chance(0.01)) at_us += 400; // straggler: arrives after its NAK
+        t.net.sim().schedule_at(sim_time{at_us * 1000}, [&send_seq, s] { send_seq(s); });
+    }
+
+    t.net.sim().run_until(sim_time{3'000'000});
+    const std::uint64_t mid_gaps = rx.outstanding_gaps();
+    t.net.sim().run();
+
+    const auto& st = rx.stats();
+    EXPECT_EQ(mid_gaps, 91u);
+    EXPECT_EQ(st.datagrams, 3939u);
+    EXPECT_EQ(st.duplicates, 18u);
+    // The responder re-sends 124 sequences, 18 of them already filled
+    // by a straggler (the duplicates). `recovered` counts far more: any
+    // arrival below the highest sequence seen that finds an open gap
+    // record starting at or below it, reordered first arrivals included.
+    EXPECT_EQ(st.recovered, 2820u);
+    EXPECT_EQ(st.naks_sent, 28u);
+    EXPECT_EQ(st.nak_ranges_sent, 368u);
+    EXPECT_EQ(st.nak_retries, 166u);
+    EXPECT_EQ(st.given_up, 61u);
+    EXPECT_EQ(st.given_up, lost);
+    EXPECT_EQ(st.datagrams + st.given_up, total);
+    EXPECT_EQ(rx.outstanding_gaps(), 0u);
 }
 
 TEST(mmtp_receiver, duplicate_datagrams_counted_not_delivered_twice)
